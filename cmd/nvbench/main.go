@@ -25,8 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
 	"strconv"
 	"strings"
 	"time"
@@ -35,6 +33,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/parallel"
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -141,14 +140,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nvbench:", err)
 		os.Exit(2)
 	}
-	if err := run(o, os.Stdout); err != nil {
+	err = profile.Run("nvbench", o.cpuProfile, o.memProfile, o.traceOut,
+		func() error { return run(o, os.Stdout) })
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "nvbench:", err)
 		os.Exit(1)
 	}
 }
 
 func run(o options, out io.Writer) error {
-	sc, err := scaleByName(o.scale)
+	sc, err := experiments.ScaleByName(o.scale)
 	if err != nil {
 		return err
 	}
@@ -173,43 +174,6 @@ func run(o options, out io.Writer) error {
 			}
 			coreCounts = append(coreCounts, n)
 		}
-	}
-
-	if o.cpuProfile != "" {
-		f, err := os.Create(o.cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if o.traceOut != "" {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rtrace.Start(f); err != nil {
-			return err
-		}
-		defer rtrace.Stop()
-	}
-	if o.memProfile != "" {
-		defer func() {
-			f, err := os.Create(o.memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nvbench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "nvbench: memprofile:", err)
-			}
-		}()
 	}
 
 	rep := report{
@@ -399,8 +363,8 @@ func run(o options, out io.Writer) error {
 			if sc.Name == "smoke" {
 				epochs, perEpoch = 8, 256
 			}
-			st, err := experiments.FilePlaneProfile(
-				filepath.Join(dir, "store"), epochs, perEpoch, mem.DefaultCheckpointEvery, seed)
+			st, err := experiments.FilePlaneProfileFS(
+				fault.OS, filepath.Join(dir, "store"), epochs, perEpoch, mem.DefaultCheckpointEvery, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -500,17 +464,4 @@ func fig17JSON(series []experiments.Fig17Series) []fig17Curve {
 		out = append(out, c)
 	}
 	return out
-}
-
-func scaleByName(name string) (experiments.Scale, error) {
-	switch name {
-	case "smoke":
-		return experiments.Smoke, nil
-	case "quick":
-		return experiments.Quick, nil
-	case "full":
-		return experiments.Full, nil
-	default:
-		return experiments.Scale{}, fmt.Errorf("unknown scale %q (smoke, quick, full)", name)
-	}
 }

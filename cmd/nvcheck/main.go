@@ -32,9 +32,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"reflect"
-	"runtime"
-	"runtime/pprof"
-	rtrace "runtime/trace"
 	"strings"
 	"syscall"
 	"time"
@@ -44,6 +41,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/profile"
 	"repro/internal/sim"
 	"repro/internal/soak"
 )
@@ -249,7 +247,7 @@ func runFaults(ctx context.Context, o options, w io.Writer) error {
 	var ferr error
 	parallel.ForEachOrdered(o.jobs, len(classes)*o.fseeds, func(i int) cell {
 		p := diffcheck.FaultRegimeParams(classes[i/o.fseeds], o.seed+int64(i%o.fseeds))
-		res, d := diffcheck.RunFaulted(p)
+		res, d := diffcheck.RunFaulted(p, 1, nil)
 		return cell{res, d}
 	}, func(i int, c cell) bool {
 		class := classes[i/o.fseeds]
@@ -405,7 +403,7 @@ func runCrashSoak(ctx context.Context, o options, w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("nvcheck: control run: %w", err)
 	}
-	rep, err := soak.CheckDir(p.Dir, res.DurableEpoch, soak.Golden(p))
+	rep, err := soak.CheckDirFS(fault.OS, p.Dir, res.DurableEpoch, soak.Golden(p))
 	if err != nil {
 		archiveReport(o.reports, -1, rep)
 		return fmt.Errorf("nvcheck: control run salvage: %w", err)
@@ -440,7 +438,7 @@ func runCrashSoak(ctx context.Context, o options, w io.Writer) error {
 			}
 			return fmt.Errorf("nvcheck: loop %d: %w", i, err)
 		}
-		rep, err := soak.CheckDir(dir, res.DurableEpoch, soak.Golden(lp))
+		rep, err := soak.CheckDirFS(fault.OS, dir, res.DurableEpoch, soak.Golden(lp))
 		if err != nil {
 			archiveReport(o.reports, i, rep)
 			flush()
@@ -482,12 +480,12 @@ func runRecord(o options, w io.Writer, start time.Time) error {
 	}
 	fmt.Fprintf(w, "recorded %d accesses in %d chunks (%d bytes) to %s\n",
 		info.Records, info.Chunks, info.Bytes, o.record)
-	res, d := diffcheck.Run(o.p)
+	res, d := diffcheck.Run(o.p, nil)
 	if d != nil {
 		fmt.Fprintln(w, d.Error())
 		return fmt.Errorf("1 divergence")
 	}
-	fres, fd, err := diffcheck.RunFile(fault.OS, o.record)
+	fres, fd, err := diffcheck.RunFile(fault.OS, o.record, nil)
 	if err != nil {
 		return fmt.Errorf("nvcheck: replaying %s: %w", o.record, err)
 	}
@@ -512,7 +510,7 @@ func runReplay(o options, w io.Writer, start time.Time) error {
 		return fmt.Errorf("nvcheck: reading %s: %w", o.replay, err)
 	}
 	fmt.Fprintf(w, "replaying %s: %s\n", o.replay, p.FlagString())
-	res, d, err := diffcheck.RunFile(fault.OS, o.replay)
+	res, d, err := diffcheck.RunFile(fault.OS, o.replay, nil)
 	if err != nil {
 		return fmt.Errorf("nvcheck: replaying %s: %w", o.replay, err)
 	}
@@ -579,13 +577,7 @@ func run(ctx context.Context, o options, w io.Writer) error {
 			return nil
 		}
 		if o.p.Fault != "" {
-			var res diffcheck.FaultResult
-			var d *diffcheck.Divergence
-			if bus != nil {
-				res, d = diffcheck.RunFaultedObserved(o.p, bus)
-			} else {
-				res, d = diffcheck.RunFaultedJobs(o.p, o.jobs)
-			}
+			res, d := diffcheck.RunFaulted(o.p, o.jobs, bus)
 			if d != nil {
 				fmt.Fprintln(w, d.Error())
 				return fmt.Errorf("1 divergence")
@@ -601,7 +593,7 @@ func run(ctx context.Context, o options, w io.Writer) error {
 		if o.record != "" {
 			return runRecord(o, w, start)
 		}
-		res, d := diffcheck.RunObserved(o.p, bus)
+		res, d := diffcheck.Run(o.p, bus)
 		if d != nil {
 			fmt.Fprintln(w, d.Error())
 			return fmt.Errorf("1 divergence")
@@ -623,7 +615,7 @@ func run(ctx context.Context, o options, w io.Writer) error {
 	}
 	var ferr error
 	parallel.ForEachOrdered(o.jobs, o.traces, func(i int) cell {
-		res, d := diffcheck.Run(diffcheck.RegimeParams(i, o.seed))
+		res, d := diffcheck.Run(diffcheck.RegimeParams(i, o.seed), nil)
 		return cell{res, d}
 	}, func(i int, c cell) bool {
 		if err := ctx.Err(); err != nil {
@@ -672,58 +664,6 @@ func validateEvents(path string, w io.Writer) error {
 	return nil
 }
 
-// withProfiles runs f under the requested profilers, making sure they are
-// stopped and written before the exit status is decided.
-func withProfiles(o options, f func() error) error {
-	if o.cpuProfile != "" {
-		pf, err := os.Create(o.cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := pf.Close(); err != nil { // a lost close is a truncated profile
-				fmt.Fprintln(os.Stderr, "nvcheck: cpuprofile:", err)
-			}
-		}()
-		if err := pprof.StartCPUProfile(pf); err != nil {
-			return err
-		}
-	}
-	if o.traceOut != "" {
-		tf, err := os.Create(o.traceOut)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			rtrace.Stop()
-			if err := tf.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "nvcheck: trace:", err)
-			}
-		}()
-		if err := rtrace.Start(tf); err != nil {
-			return err
-		}
-	}
-	if o.memProfile != "" {
-		defer func() {
-			mf, err := os.Create(o.memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "nvcheck: memprofile:", err)
-				return
-			}
-			runtime.GC() // settle the heap so the profile shows retained allocations
-			if err := pprof.WriteHeapProfile(mf); err != nil {
-				fmt.Fprintln(os.Stderr, "nvcheck: memprofile:", err)
-			}
-			if err := mf.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "nvcheck: memprofile:", err)
-			}
-		}()
-	}
-	return f()
-}
-
 func main() {
 	if soak.IsChild() {
 		// Spawned by a -crashsoak parent: become the store writer. This
@@ -738,7 +678,9 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := withProfiles(o, func() error { return run(ctx, o, os.Stdout) }); err != nil {
+	err = profile.Run("nvcheck", o.cpuProfile, o.memProfile, o.traceOut,
+		func() error { return run(ctx, o, os.Stdout) })
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -27,7 +27,7 @@ func TestDifferentialTraces(t *testing.T) {
 			t.Parallel()
 			for i := s; i < n; i += shards {
 				p := RegimeParams(i, 1)
-				res, d := Run(p)
+				res, d := Run(p, nil)
 				if d != nil {
 					t.Fatal(d.Error())
 				}
@@ -59,7 +59,7 @@ func TestDifferentialTraces(t *testing.T) {
 func TestNoWalkerRegime(t *testing.T) {
 	p := RegimeParams(0, 77)
 	p.Walker = false
-	res, d := Run(p)
+	res, d := Run(p, nil)
 	if d != nil {
 		t.Fatal(d.Error())
 	}
@@ -76,8 +76,8 @@ func TestNoWalkerRegime(t *testing.T) {
 func TestRunDeterminism(t *testing.T) {
 	for i := 0; i < RegimeCount; i++ {
 		p := RegimeParams(i, 4242)
-		a, da := Run(p)
-		b, db := Run(p)
+		a, da := Run(p, nil)
+		b, db := Run(p, nil)
 		if (da == nil) != (db == nil) {
 			t.Fatalf("regime %d: divergence not deterministic: %v vs %v", i, da, db)
 		}

@@ -22,7 +22,7 @@ func TestFaultGrid(t *testing.T) {
 	for _, class := range fault.Classes {
 		for _, seed := range seeds {
 			p := FaultRegimeParams(class, seed)
-			res, d := RunFaulted(p)
+			res, d := RunFaulted(p, 1, nil)
 			if d != nil {
 				t.Fatalf("class=%s seed=%d: %s at step %d: %s\n  reproduce: %s",
 					class, seed, d.Kind, d.Step, d.Detail, p.FlagString())
@@ -61,8 +61,8 @@ func TestFaultGrid(t *testing.T) {
 // salvage outcomes.
 func TestFaultReplayDeterminism(t *testing.T) {
 	p := FaultRegimeParams("all", 7)
-	a, d1 := RunFaulted(p)
-	b, d2 := RunFaulted(p)
+	a, d1 := RunFaulted(p, 1, nil)
+	b, d2 := RunFaulted(p, 1, nil)
 	if d1 != nil || d2 != nil {
 		t.Fatalf("unexpected divergence: %v / %v", d1, d2)
 	}
@@ -84,7 +84,7 @@ func TestFaultReplayDeterminism(t *testing.T) {
 // may be recorded.
 func TestFaultFreeSweep(t *testing.T) {
 	p := FaultRegimeParams("", 11)
-	res, d := RunFaulted(p)
+	res, d := RunFaulted(p, 1, nil)
 	if d != nil {
 		t.Fatalf("%s at step %d: %s\n  reproduce: %s", d.Kind, d.Step, d.Detail, p.FlagString())
 	}

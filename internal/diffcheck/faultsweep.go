@@ -51,30 +51,19 @@ func faultCuts(p Params) []int {
 }
 
 // RunFaulted sweeps power cuts across the trace under the configured fault
-// class. Every cell must satisfy the salvage-or-refuse contract; the first
-// violation is returned as a Divergence with a deterministic reproducer.
-func RunFaulted(p Params) (FaultResult, *Divergence) {
-	return RunFaultedJobs(p, 1)
-}
-
-// RunFaultedJobs is RunFaulted with the crash-point cells fanned over jobs
-// workers. Each cell replays its own trace prefix from the shared Params
-// (no mutable state crosses cells) and results merge in cut order, so the
-// aggregate — including the concatenated Schedule string and which
-// Divergence is reported first — is byte-identical for every jobs value.
-func RunFaultedJobs(p Params, jobs int) (FaultResult, *Divergence) {
-	return runFaulted(p, jobs, nil)
-}
-
-// RunFaultedObserved is RunFaulted narrated on an observability bus: every
-// crash-point cell's replay, injected faults and salvage decisions land on
-// the one stream. The cells run serially so the stream is in cut order
-// (and byte-identical across replays); the verdict matches RunFaulted.
-func RunFaultedObserved(p Params, bus *obs.Bus) (FaultResult, *Divergence) {
-	return runFaulted(p, 1, bus)
-}
-
-func runFaulted(p Params, jobs int, bus *obs.Bus) (FaultResult, *Divergence) {
+// class, with the crash-point cells fanned over jobs workers. Every cell
+// must satisfy the salvage-or-refuse contract; the first violation is
+// returned as a Divergence with a deterministic reproducer. Each cell
+// replays its own trace prefix from the shared Params (no mutable state
+// crosses cells) and results merge in cut order, so the aggregate —
+// including the concatenated Schedule string and which Divergence is
+// reported first — is byte-identical for every jobs value.
+//
+// A non-nil bus narrates every cell's replay, injected faults and salvage
+// decisions on the one stream. The cells then run serially so the stream
+// is in cut order (and byte-identical across replays); the verdict is the
+// same as without a bus.
+func RunFaulted(p Params, jobs int, bus *obs.Bus) (FaultResult, *Divergence) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -91,7 +80,7 @@ func runFaulted(p Params, jobs int, bus *obs.Bus) (FaultResult, *Divergence) {
 	}
 	var firstDiv *Divergence
 	parallel.ForEachOrdered(jobs, len(cuts), func(i int) cell {
-		pt, cellSched, d := RunFaultPointObserved(p, cuts[i], nil, bus)
+		pt, cellSched, d := RunFaultPoint(p, cuts[i], nil, bus)
 		return cell{pt, cellSched, d}
 	}, func(i int, c cell) bool {
 		if c.d != nil {
@@ -120,18 +109,13 @@ func runFaulted(p Params, jobs int, bus *obs.Bus) (FaultResult, *Divergence) {
 
 // RunFaultPoint replays the first cut steps, cuts power under the fault
 // injector, optionally mutates the surviving image further (the fuzz
-// harness's hook), and salvages. The contract it enforces is the PR's
+// harness's hook), and salvages. The contract it enforces is the sweep's
 // acceptance bar: salvage either restores an image byte-equal to the
 // golden model at exactly its reported epoch, or refuses with a typed
-// error and a non-empty report — never a silently wrong image.
-func RunFaultPoint(p Params, cut int, mutate func(*mem.Image)) (FaultPoint, string, *Divergence) {
-	return RunFaultPointObserved(p, cut, mutate, nil)
-}
-
-// RunFaultPointObserved is RunFaultPoint narrated on an observability bus
-// (nil behaves exactly like RunFaultPoint): the replay's emissions, the
-// injector's faults and the salvage decisions all land on the one stream.
-func RunFaultPointObserved(p Params, cut int, mutate func(*mem.Image), bus *obs.Bus) (FaultPoint, string, *Divergence) {
+// error and a non-empty report — never a silently wrong image. A non-nil
+// bus receives the replay's emissions, the injector's faults and the
+// salvage decisions on the one stream.
+func RunFaultPoint(p Params, cut int, mutate func(*mem.Image), bus *obs.Bus) (FaultPoint, string, *Divergence) {
 	cfg := p.Config()
 	cfg.Obs = bus
 	ops := p.Ops()[:cut]

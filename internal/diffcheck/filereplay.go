@@ -206,16 +206,11 @@ func ReadParams(fsys fault.FS, path string) (Params, error) {
 // the header's params drive the same machine configuration and
 // verification schedule, and the access stream comes off disk one chunk at
 // a time. A recording of Params p replayed through RunFile produces the
-// identical Result and divergence verdict as Run(p). The error covers file
+// identical Result and divergence verdict as Run(p, nil). The error covers file
 // damage (typed tracefile errors) and header/params mismatches; divergence
-// stays a *Divergence, exactly as in Run.
-func RunFile(fsys fault.FS, path string) (Result, *Divergence, error) {
-	return RunFileObserved(fsys, path, nil)
-}
-
-// RunFileObserved is RunFile with the replay narrated on an observability
-// bus (nil behaves exactly like RunFile).
-func RunFileObserved(fsys fault.FS, path string, bus *obs.Bus) (Result, *Divergence, error) {
+// stays a *Divergence, exactly as in Run. A non-nil bus narrates the
+// replay, as in Run.
+func RunFile(fsys fault.FS, path string, bus *obs.Bus) (Result, *Divergence, error) {
 	p, err := ReadParams(fsys, path)
 	if err != nil {
 		return Result{}, nil, err

@@ -93,7 +93,7 @@ func TestParamsShapeRoundTrip(t *testing.T) {
 func TestRecordReplayByteIdentical(t *testing.T) {
 	for i := 0; i < RegimeCount; i++ {
 		p := RegimeParams(i, 9)
-		want, d := Run(p)
+		want, d := Run(p, nil)
 		if d != nil {
 			t.Fatalf("regime %d diverged in memory: %s", i, d.Error())
 		}
@@ -112,7 +112,7 @@ func TestRecordReplayByteIdentical(t *testing.T) {
 		if rp != p {
 			t.Fatalf("regime %d: header params %+v, want %+v", i, rp, p)
 		}
-		got, d, err := RunFile(fsys, "r.trc")
+		got, d, err := RunFile(fsys, "r.trc", nil)
 		if err != nil {
 			t.Fatalf("regime %d: replay: %v", i, err)
 		}
@@ -136,7 +136,7 @@ func TestRecordReplayParallelJobs(t *testing.T) {
 	paths := make([]string, RegimeCount)
 	for i := 0; i < RegimeCount; i++ {
 		p := RegimeParams(i, seed)
-		res, d := Run(p)
+		res, d := Run(p, nil)
 		if d != nil {
 			t.Fatalf("regime %d diverged: %s", i, d.Error())
 		}
@@ -151,7 +151,7 @@ func TestRecordReplayParallelJobs(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		got := make([]Result, RegimeCount)
 		parallel.ForEachOrdered(jobs, RegimeCount, func(i int) Result {
-			res, d, err := RunFile(fsys, paths[i])
+			res, d, err := RunFile(fsys, paths[i], nil)
 			if err != nil {
 				t.Errorf("jobs=%d regime %d: %v", jobs, i, err)
 			}
@@ -183,7 +183,7 @@ func TestRecordTraceRefusesFaultRegimes(t *testing.T) {
 // divergences or panics.
 func TestRunFileErrors(t *testing.T) {
 	fsys := fault.NewMemFS()
-	if _, _, err := RunFile(fsys, "missing.trc"); err == nil {
+	if _, _, err := RunFile(fsys, "missing.trc", nil); err == nil {
 		t.Fatal("missing file accepted")
 	}
 
@@ -207,7 +207,7 @@ func TestRunFileErrors(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunFile(fsys, "torn.trc"); err == nil {
+	if _, _, err := RunFile(fsys, "torn.trc", nil); err == nil {
 		t.Fatal("torn trace replayed cleanly")
 	}
 
@@ -240,7 +240,7 @@ func TestRunFileErrors(t *testing.T) {
 	if err := f2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunFile(fsys, "lying.trc"); err == nil {
+	if _, _, err := RunFile(fsys, "lying.trc", nil); err == nil {
 		t.Fatal("short trace with an oversized header step count replayed cleanly")
 	}
 }

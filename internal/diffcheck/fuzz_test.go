@@ -62,14 +62,14 @@ func FuzzDifferentialTrace(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("clamp produced invalid params: %v (%+v)", err, p)
 		}
-		res, d := Run(p)
+		res, d := Run(p, nil)
 		if d != nil {
 			t.Fatal(d.Error())
 		}
 		bus := obs.NewBus(0)
 		agg := obs.NewAggregator()
 		bus.Attach(agg)
-		obsRes, d := RunObserved(p, bus)
+		obsRes, d := Run(p, bus)
 		if d != nil {
 			t.Fatalf("observed replay diverged: %s", d.Error())
 		}
@@ -114,7 +114,7 @@ func FuzzFaultedRecovery(f *testing.F) {
 				}
 			}
 		}
-		if _, _, d := RunFaultPoint(p, c, mutate); d != nil {
+		if _, _, d := RunFaultPoint(p, c, mutate, nil); d != nil {
 			t.Fatal(d.Error())
 		}
 	})

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/parallel"
 	"repro/internal/sim"
@@ -88,6 +89,20 @@ var (
 	Full = Scale{Name: "full", MaxAccesses: 8_000_000, EpochSize: 80_000}
 )
 
+// ScaleByName returns the predefined scale a -scale flag names.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "smoke":
+		return Smoke, nil
+	case "quick":
+		return Quick, nil
+	case "full":
+		return Full, nil
+	default:
+		return Scale{}, fmt.Errorf("unknown scale %q (smoke, quick, full)", name)
+	}
+}
+
 // SchemeNames lists the comparison schemes in the paper's Fig 11 order.
 var SchemeNames = []string{"SWLog", "SWShadow", "HWShadow", "PiCL", "PiCL-L2", "NVOverlay"}
 
@@ -146,7 +161,7 @@ func Run(schemeName, wlName string, scale Scale, cfgMod func(*sim.Config)) (RunR
 		// Back the content plane with the on-disk store. Attaching after
 		// construction is lossless: AttachPlane migrates committed words,
 		// and still-queued construction writes drain onto the new plane.
-		plane, err := mem.OpenFilePlane(cfg.StoreDir, cfg.CheckpointEvery)
+		plane, err := mem.OpenFilePlaneFS(fault.OS, cfg.StoreDir, cfg.CheckpointEvery)
 		if err != nil {
 			return RunResult{}, err
 		}

@@ -11,7 +11,7 @@ import (
 )
 
 // FilePlaneStats summarizes one file-backed durable-plane profile: a seeded
-// write/seal loop against mem.FilePlane followed by a cold LoadDir reopen
+// write/seal loop against mem.FilePlane followed by a cold LoadDirFS reopen
 // in the same process. Every field is a deterministic function of the
 // parameters — no wall-clock, no directory listing order — so the -json
 // export diffs cleanly across runs and machines; wall-clock throughput for
@@ -29,20 +29,16 @@ type FilePlaneStats struct {
 	DeltaRecords    uint64 `json:"delta_records"` // bursts written across the whole run
 }
 
-// FilePlaneProfile drives the file-backed plane through epochs seals of
-// perEpoch word bursts each, closes it, and cold-reopens the directory the
-// way a restarted process would. dir must be fresh (OpenFilePlane refuses
-// an existing store). The reopened image is checked against the plane's
-// own RAM mirror before the stats are returned, so a profile that would
-// publish numbers for a store that does not round-trip fails instead.
-func FilePlaneProfile(dir string, epochs, perEpoch, ckptEvery int, seed int64) (FilePlaneStats, error) {
-	return FilePlaneProfileFS(fault.OS, dir, epochs, perEpoch, ckptEvery, seed)
-}
-
-// FilePlaneProfileFS is FilePlaneProfile over an arbitrary filesystem.
+// FilePlaneProfileFS drives the file-backed plane in dir of fsys through
+// epochs seals of perEpoch word bursts each, closes it, and cold-reopens
+// the directory the way a restarted process would. dir must be fresh
+// (OpenFilePlaneFS refuses an existing store). The reopened image is
+// checked against the plane's own RAM mirror before the stats are
+// returned, so a profile that would publish numbers for a store that does
+// not round-trip fails instead.
 // BenchmarkFileSealFaulted runs it against a fault-injecting in-memory
-// store to price the retry policy; the profile's round-trip verification
-// still applies unchanged, so a schedule that corrupts the store fails the
+// store to price the retry policy; the round-trip verification still
+// applies unchanged, so a schedule that corrupts the store fails the
 // profile rather than skewing its numbers.
 func FilePlaneProfileFS(fsys fault.FS, dir string, epochs, perEpoch, ckptEvery int, seed int64) (FilePlaneStats, error) {
 	plane, err := mem.OpenFilePlaneFS(fsys, dir, ckptEvery)
@@ -97,7 +93,7 @@ func FilePlaneProfileFS(fsys fault.FS, dir string, epochs, perEpoch, ckptEvery i
 		WordsRestored:   img.Len(),
 		DeltaRecords:    records,
 	}
-	// The FS seam has no Stat; sizing by reading is fine here — LoadDir just
+	// The FS seam has no Stat; sizing by reading is fine here — LoadDirFS just
 	// read every byte of the store anyway, so the pages are warm.
 	names, err := fsys.ReadDir(dir)
 	if err != nil {

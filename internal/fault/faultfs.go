@@ -252,10 +252,6 @@ func NewFaultFS(inner FS, cfg DiskConfig) *FaultFS {
 	}
 }
 
-// Inner returns the wrapped filesystem (post-crash salvage reads it
-// directly, the way a fresh process would).
-func (f *FaultFS) Inner() FS { return f.inner }
-
 // Crashed reports whether the crash cut point has fired.
 func (f *FaultFS) Crashed() bool { return f.crashed }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // The VFS seam under the durable plane. The file-backed store (mem.FilePlane,
-// mem.LoadDir, recovery.SalvageDir) performs every filesystem operation
+// mem.LoadDirFS, recovery.SalvageDirFS) performs every filesystem operation
 // through this interface, so the same write-seal-salvage code runs over the
 // real OS (OSFS), an in-memory crash-modelling filesystem (MemFS), or the
 // deterministic disk-error injector (FaultFS) — the disk-level analogue of

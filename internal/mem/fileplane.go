@@ -104,25 +104,16 @@ type FilePlane struct {
 	err  error
 	hook func(point string, epoch uint64)
 
-	bus       *obs.Bus // nil when unobserved
-	ioFaults  int
-	ioRetries int
-	backoff   uint64
+	bus *obs.Bus // nil when unobserved
 
 	scratch []byte
-}
-
-// OpenFilePlane creates a fresh durable store in dir on the real
-// filesystem. See OpenFilePlaneFS.
-func OpenFilePlane(dir string, checkpointEvery int) (*FilePlane, error) {
-	return OpenFilePlaneFS(fault.OS, dir, checkpointEvery)
 }
 
 // OpenFilePlaneFS creates a fresh durable store in dir (created if needed)
 // of the given filesystem. It refuses a directory that already holds a
 // manifest or delta segments: writers always start clean, recovery of an
-// old store goes through LoadDir / recovery.SalvageDir. checkpointEvery
-// <= 0 selects DefaultCheckpointEvery.
+// old store goes through LoadDirFS / recovery.SalvageDirFS.
+// checkpointEvery <= 0 selects DefaultCheckpointEvery.
 func OpenFilePlaneFS(fsys fault.FS, dir string, checkpointEvery int) (*FilePlane, error) {
 	if checkpointEvery <= 0 {
 		checkpointEvery = DefaultCheckpointEvery

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -19,18 +20,18 @@ func applyBurst(p DurablePlane, e uint64, n int) {
 func openTestPlane(t *testing.T, every int) (*FilePlane, string) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
-	p, err := OpenFilePlane(dir, every)
+	p, err := OpenFilePlaneFS(fault.OS, dir, every)
 	if err != nil {
-		t.Fatalf("OpenFilePlane: %v", err)
+		t.Fatalf("OpenFilePlaneFS: %v", err)
 	}
 	return p, dir
 }
 
 func reload(t *testing.T, dir string) (*Image, *DirReport) {
 	t.Helper()
-	img, rep, err := LoadDir(dir)
+	img, rep, err := LoadDirFS(fault.OS, dir)
 	if err != nil {
-		t.Fatalf("LoadDir: %v (report %+v)", err, rep)
+		t.Fatalf("LoadDirFS: %v (report %+v)", err, rep)
 	}
 	return img, rep
 }
@@ -121,8 +122,8 @@ func TestOpenFilePlaneRefusesExistingStore(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if _, err := OpenFilePlane(dir, 0); err == nil {
-		t.Fatal("OpenFilePlane reopened a non-empty store")
+	if _, err := OpenFilePlaneFS(fault.OS, dir, 0); err == nil {
+		t.Fatal("OpenFilePlaneFS reopened a non-empty store")
 	}
 }
 
@@ -144,9 +145,9 @@ func TestLoadDirYoungRun(t *testing.T) {
 
 // TestLoadDirMissing: a nonexistent directory is a fatal store-missing.
 func TestLoadDirMissing(t *testing.T) {
-	_, rep, err := LoadDir(filepath.Join(t.TempDir(), "nope"))
+	_, rep, err := LoadDirFS(fault.OS, filepath.Join(t.TempDir(), "nope"))
 	if err == nil {
-		t.Fatal("LoadDir succeeded on a missing directory")
+		t.Fatal("LoadDirFS succeeded on a missing directory")
 	}
 	if rep.Fatal != "store-missing" {
 		t.Fatalf("fatal %q, want store-missing", rep.Fatal)

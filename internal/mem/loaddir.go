@@ -13,9 +13,9 @@ import (
 	"repro/internal/fault"
 )
 
-// FileDamage records one piece of evidence LoadDir found while replaying a
+// FileDamage records one piece of evidence LoadDirFS found while replaying a
 // store directory cold. Kinds mirror the image-level salvage damage
-// vocabulary but are file-scoped; recovery.SalvageDir prefixes them with
+// vocabulary but are file-scoped; recovery.SalvageDirFS prefixes them with
 // "file-" when merging into a SalvageReport.
 type FileDamage struct {
 	Kind string `json:"kind"`
@@ -55,9 +55,9 @@ func (r *DirReport) addDamage(kind, path, note string) {
 // back to an epoch whose records fully survive.
 var errReplayStop = errors.New("replay stopped")
 
-// LoadDir opens a store directory cold — typically in a fresh process
-// after the writer was killed — and replays manifest → checkpoint → delta
-// segments into an Image of the persisted word array.
+// LoadDirFS opens a store directory of fsys cold — typically in a fresh
+// process after the writer was killed — and replays manifest → checkpoint
+// → delta segments into an Image of the persisted word array.
 //
 // Damage below the manifest/checkpoint layer is never fatal here: a torn
 // or missing delta segment stops replay at the last intact boundary and
@@ -65,13 +65,10 @@ var errReplayStop = errors.New("replay stopped")
 // Fatal returns (nil image) happen only when no trustworthy base exists:
 // the manifest is corrupt, from a future format, or references a
 // checkpoint that is missing or fails its digest.
-func LoadDir(dir string) (*Image, *DirReport, error) {
-	return LoadDirFS(fault.OS, dir)
-}
-
-// LoadDirFS is LoadDir over an arbitrary filesystem: the crash-consistency
-// sweep replays the post-crash durable state of an in-memory store exactly
-// the way a fresh process would replay a real directory.
+//
+// The crash-consistency sweep passes an in-memory fsys and so replays the
+// post-crash durable state of a store exactly the way a fresh process
+// would replay a real directory.
 func LoadDirFS(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 	rep := &DirReport{CheckpointSeq: -1}
 	names, err := fsys.ReadDir(dir)

@@ -30,9 +30,6 @@ func (n *NVM) AttachPlane(p DurablePlane) {
 	n.plane = p
 }
 
-// Plane returns the attached content plane.
-func (n *NVM) Plane() DurablePlane { return n.plane }
-
 // SealDurable is the epoch-seal persistence barrier on durable (file)
 // planes: every queued write drains into the persisted array — the sealing
 // controller waits for its bank queues, the file plane logs the words —

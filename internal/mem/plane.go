@@ -14,8 +14,8 @@ package mem
 //   - FilePlane additionally mirrors every committed word into an
 //     append/checkpoint file format under a directory, with an atomically
 //     renamed manifest per sealed epoch. A fresh process can open the
-//     directory cold after a real kill -9 and salvage it (LoadDir +
-//     recovery.SalvageDir).
+//     directory cold after a real kill -9 and salvage it (LoadDirFS +
+//     recovery.SalvageDirFS).
 //
 // Apply and XorWord mutate the persisted array; Snapshot, Word, Words and
 // SortedAddrs read it. SealEpoch is the epoch-seal persistence barrier:

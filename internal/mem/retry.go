@@ -103,10 +103,9 @@ func (r *retryFile) Sync() error {
 
 func (r *retryFile) Close() error { return r.f.Close() }
 
-// noteIOFault records one observed disk fault on the plane's counters and
-// bus. Transience is what the retry policy keyed on, so it rides in Arg.
+// noteIOFault records one observed disk fault on the plane's bus.
+// Transience is what the retry policy keyed on, so it rides in Arg.
 func (p *FilePlane) noteIOFault(op string, err error) {
-	p.ioFaults++
 	arg := uint64(0)
 	if fault.IsTransient(err) {
 		arg = 1
@@ -121,14 +120,5 @@ func (p *FilePlane) noteIOFault(op string, err error) {
 
 // noteIORetry records one transient-fault retry attempt.
 func (p *FilePlane) noteIORetry(attempt int, ticks uint64) {
-	p.ioRetries++
-	p.backoff += ticks
 	p.bus.Emit(obs.KindIORetry, 0, -1, p.sealedEpoch, 0, uint64(attempt), ticks)
-}
-
-// IOStats reports the plane's fault/retry accounting: disk faults observed
-// (after retry absorption the caller may never have seen them), retry
-// attempts spent, and deterministic backoff ticks charged.
-func (p *FilePlane) IOStats() (faults, retries int, backoffTicks uint64) {
-	return p.ioFaults, p.ioRetries, p.backoff
 }

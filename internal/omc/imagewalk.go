@@ -52,7 +52,7 @@ func WalkImageTable(img *mem.Image, id int, rootAddr uint64) (entries map[uint64
 					}
 					line := p | uint64(s)<<6
 					entries[line] = v
-					digest ^= PairMix(line, v)
+					digest ^= mem.PairMix(line, v)
 				}
 			} else {
 				if w < metaLo || w >= metaHi {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/diffcheck"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 )
@@ -126,14 +127,18 @@ func TestScaleSweepEqualAcrossJobs(t *testing.T) {
 
 // TestFaultSweepEqualAcrossJobs checks the diffcheck crash-point grid: the
 // aggregate FaultResult — points, tallies and the concatenated canonical
-// fault Schedule string — must be deeply equal at 1 and 8 workers.
+// fault Schedule string — must be deeply equal at 1 and 8 workers, and
+// with an observability bus attached.
 func TestFaultSweepEqualAcrossJobs(t *testing.T) {
 	for _, class := range []string{"torn", "all"} {
 		p := diffcheck.FaultRegimeParams(class, 11)
-		serial, d1 := diffcheck.RunFaultedJobs(p, 1)
-		par, d8 := diffcheck.RunFaultedJobs(p, 8)
-		if d1 != nil || d8 != nil {
-			t.Fatalf("class %s: unexpected divergence (serial=%v parallel=%v)", class, d1, d8)
+		serial, d1 := diffcheck.RunFaulted(p, 1, nil)
+		par, d8 := diffcheck.RunFaulted(p, 8, nil)
+		// A bus forces the cells serial whatever jobs says; the verdict
+		// must not depend on whether anyone is listening.
+		observed, dobs := diffcheck.RunFaulted(p, 8, obs.NewBus(0))
+		if d1 != nil || d8 != nil || dobs != nil {
+			t.Fatalf("class %s: unexpected divergence (serial=%v parallel=%v observed=%v)", class, d1, d8, dobs)
 		}
 		if serial.Schedule == "" {
 			t.Fatalf("class %s: empty fault schedule", class)
@@ -141,6 +146,10 @@ func TestFaultSweepEqualAcrossJobs(t *testing.T) {
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("class %s: fault sweep diverges between jobs=1 and jobs=8:\nserial: %+v\nparallel: %+v",
 				class, serial, par)
+		}
+		if !reflect.DeepEqual(serial, observed) {
+			t.Fatalf("class %s: fault sweep diverges with a bus attached:\nserial: %+v\nobserved: %+v",
+				class, serial, observed)
 		}
 	}
 }

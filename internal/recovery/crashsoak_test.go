@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/soak"
 )
 
@@ -55,7 +56,7 @@ func TestCrashRestartSoak(t *testing.T) {
 				if !res.Killed {
 					t.Fatalf("kill index %d not reached (%d milestones)", killAt, res.Milestones)
 				}
-				rep, err := soak.CheckDir(dir, res.DurableEpoch, soak.Golden(p))
+				rep, err := soak.CheckDirFS(fault.OS, dir, res.DurableEpoch, soak.Golden(p))
 				if err != nil {
 					if rep != nil {
 						if js, jerr := rep.JSON(); jerr == nil {
@@ -98,7 +99,7 @@ func TestCrashSoakCompletes(t *testing.T) {
 	if max := killGrid[len(killGrid)-1]; res.Milestones <= max {
 		t.Fatalf("run has %d milestones, kill grid reaches %d", res.Milestones, max)
 	}
-	rep, err := soak.CheckDir(dir, res.DurableEpoch, soak.Golden(p))
+	rep, err := soak.CheckDirFS(fault.OS, dir, res.DurableEpoch, soak.Golden(p))
 	if err != nil {
 		t.Fatalf("salvage after clean run: %v", err)
 	}

@@ -53,7 +53,7 @@ type SalvageReport struct {
 	RestoredEpoch uint64 `json:"restored_epoch"`
 	// StoreSealedEpoch is the newest epoch the on-disk manifest claimed
 	// durable when salvage ran against a file-backed store directory
-	// (SalvageDir); zero for in-memory salvage.
+	// (SalvageDirFS); zero for in-memory salvage.
 	StoreSealedEpoch uint64            `json:"store_sealed_epoch,omitempty"`
 	WalkedBack       bool              `json:"walked_back"`
 	Refused          bool              `json:"refused"`
@@ -112,7 +112,7 @@ func scanLog(img *mem.Image, addrOf func(seq int) uint64, nwords int, magic uint
 			continue
 		}
 		gap = 0
-		r.valid = present == nwords && omc.ValidRecord(words, magic)
+		r.valid = present == nwords && mem.ValidRecord(words, magic)
 		out = append(out, r)
 	}
 	return out
@@ -430,7 +430,7 @@ func Salvage(img *mem.Image) (map[uint64]uint64, *SalvageReport, error) {
 		}
 		gwords = append(gwords, w)
 	}
-	if present != omc.GenesisWords || !omc.ValidRecord(gwords, omc.GenesisMagic) {
+	if present != omc.GenesisWords || !mem.ValidRecord(gwords, omc.GenesisMagic) {
 		rep.Refused = true
 		rep.Reason = "genesis record missing or corrupt"
 		rep.addDamage("genesis-corrupt", 0, 0, omc.GenesisAddr(0),

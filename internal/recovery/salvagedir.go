@@ -7,13 +7,13 @@ import (
 	"repro/internal/mem"
 )
 
-// SalvageDir opens a file-backed store directory cold — a fresh process,
-// no shared state with the writer that died — and runs the full recovery
-// stack over it: mem.LoadDir replays manifest → checkpoint → delta logs
-// into the persisted word image, then Salvage applies the usual
+// SalvageDirFS opens a file-backed store directory of fsys cold — a fresh
+// process, no shared state with the writer that died — and runs the full
+// recovery stack over it: mem.LoadDirFS replays manifest → checkpoint →
+// delta logs into the persisted word image, then Salvage applies the usual
 // salvage-or-refuse protocol to that image.
 //
-// The layering preserves PR 3's guarantee across real process death:
+// The layering preserves salvage-or-refuse across real process death:
 // file-level damage (torn delta tail after kill -9, a missing sealed
 // segment, a flipped manifest bit) either truncates the image at the last
 // intact boundary — and image-level salvage walks back to the newest epoch
@@ -28,12 +28,8 @@ import (
 //
 // File-level findings are merged into the returned report with their kind
 // prefixed "file-" (OMC -1, epoch 0), before the image-level damage.
-func SalvageDir(dir string) (map[uint64]uint64, *SalvageReport, error) {
-	return SalvageDirFS(fault.OS, dir)
-}
-
-// SalvageDirFS is SalvageDir over an arbitrary filesystem. The
-// crash-consistency sweep salvages the surviving in-memory state of a
+//
+// The crash-consistency sweep salvages the surviving in-memory state of a
 // crashed fault-injected store through exactly this path.
 func SalvageDirFS(fsys fault.FS, dir string) (map[uint64]uint64, *SalvageReport, error) {
 	img, drep, err := mem.LoadDirFS(fsys, dir)

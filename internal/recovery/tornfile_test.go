@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/recovery"
 	"repro/internal/soak"
@@ -26,8 +27,8 @@ func buildStore(t *testing.T) (string, map[uint64]map[uint64]uint64) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
 	p := soak.Params{Dir: dir, Seed: 7, Epochs: 6, PerEpoch: 24, CheckpointEvery: 5}
-	if err := soak.WriteStore(p, nil); err != nil {
-		t.Fatalf("WriteStore: %v", err)
+	if err := soak.WriteStoreFS(fault.OS, p, nil); err != nil {
+		t.Fatalf("WriteStoreFS: %v", err)
 	}
 	return dir, soak.Golden(p)
 }
@@ -225,7 +226,7 @@ func TestTornFileCorruption(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, golden := buildStore(t)
 			tc.mutate(t, dir)
-			out, rep, err := recovery.SalvageDir(dir)
+			out, rep, err := recovery.SalvageDirFS(fault.OS, dir)
 			if tc.want != nil {
 				if err == nil {
 					t.Fatalf("salvage succeeded (restored %d), want %v", rep.RestoredEpoch, tc.want)
@@ -271,9 +272,9 @@ func TestTornFileCorruption(t *testing.T) {
 // sealed epoch surfaced in the report.
 func TestSalvageDirCleanStore(t *testing.T) {
 	dir, golden := buildStore(t)
-	out, rep, err := recovery.SalvageDir(dir)
+	out, rep, err := recovery.SalvageDirFS(fault.OS, dir)
 	if err != nil {
-		t.Fatalf("SalvageDir: %v", err)
+		t.Fatalf("SalvageDirFS: %v", err)
 	}
 	if rep.RestoredEpoch != 6 || rep.StoreSealedEpoch != 6 {
 		t.Fatalf("restored %d / store sealed %d, want 6/6", rep.RestoredEpoch, rep.StoreSealedEpoch)
@@ -288,14 +289,14 @@ func TestSalvageDirCleanStore(t *testing.T) {
 
 // TestSalvageDirEmptyDir: an empty directory refuses like an empty image.
 func TestSalvageDirEmptyDir(t *testing.T) {
-	_, rep, err := recovery.SalvageDir(t.TempDir())
+	_, rep, err := recovery.SalvageDirFS(fault.OS, t.TempDir())
 	if !errors.Is(err, recovery.ErrUnrecoverable) {
 		t.Fatalf("error %v, want ErrUnrecoverable", err)
 	}
 	if !rep.NonEmpty() {
 		t.Fatal("refusal carries no findings")
 	}
-	// LoadDir treats words durable only once flushed; the plane's RAM
+	// LoadDirFS treats words durable only once flushed; the plane's RAM
 	// mirror is irrelevant to a cold open. Salvage must therefore report
 	// the image-level genesis-missing refusal, not a file-level fatal.
 	if !rep.Refused {

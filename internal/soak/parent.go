@@ -132,7 +132,7 @@ func Run(bin string, args []string, p Params, killAt int) (*Result, error) {
 	return res, nil
 }
 
-// CheckDir cold-salvages the store directory and verifies the
+// CheckDirFS cold-salvages the store directory of fsys and verifies the
 // salvage-or-refuse contract against what the parent observed:
 //
 //   - a refusal is acceptable only when nothing was ever durable
@@ -143,13 +143,8 @@ func Run(bin string, args []string, p Params, killAt int) (*Result, error) {
 //     the golden model of that epoch exactly.
 //
 // The salvage report is returned in all cases so callers can archive it.
-func CheckDir(dir string, durable uint64, golden map[uint64]map[uint64]uint64) (*recovery.SalvageReport, error) {
-	return CheckDirFS(fault.OS, dir, durable, golden)
-}
-
-// CheckDirFS is CheckDir over an arbitrary filesystem: the disk-fault
-// sweep verifies the post-crash state of its in-memory stores through
-// exactly the contract above.
+// The disk-fault sweep verifies the post-crash state of its in-memory
+// stores through exactly this contract.
 func CheckDirFS(fsys fault.FS, dir string, durable uint64, golden map[uint64]map[uint64]uint64) (*recovery.SalvageReport, error) {
 	// A refusal with nothing acknowledged durable is the expected outcome
 	// for a store killed before its first seal, so that branch drops the

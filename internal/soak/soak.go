@@ -116,7 +116,7 @@ func ChildMain() int {
 		return 2
 	}
 	ms := &milestones{out: os.Stdout, in: bufio.NewReader(os.Stdin)}
-	if err := WriteStore(p, ms.hit); err != nil {
+	if err := WriteStoreFS(fault.OS, p, ms.hit); err != nil {
 		fmt.Fprintln(os.Stderr, "nvsoak child:", err)
 		return 1
 	}
@@ -166,22 +166,15 @@ func writerConfig(p Params) sim.Config {
 	return cfg
 }
 
-// WriteStore runs the deterministic soak writer to completion: a fresh
-// file-backed store in p.Dir, p.Epochs sealed epochs of p.PerEpoch
+// WriteStoreFS runs the deterministic soak writer to completion: a fresh
+// file-backed store in p.Dir of fsys, p.Epochs sealed epochs of p.PerEpoch
 // versions each. hit (may be nil) is invoked at every kill-eligible
 // boundary: the writer-level points "epoch-start", "mid-writes" and
 // "pre-seal", plus the plane's own durable-path points ("segment-synced",
 // "checkpoint-written", "manifest-temp", "manifest-renamed").
 //
 // It is also usable in-process (hit == nil): the corruption tests build a
-// complete store this way before mutilating its files.
-//
-// nvlint:durable
-func WriteStore(p Params, hit func(point string, epoch uint64)) error {
-	return WriteStoreFS(fault.OS, p, hit)
-}
-
-// WriteStoreFS is WriteStore over an arbitrary filesystem: the disk-fault
+// complete store this way before mutilating its files. The disk-fault
 // sweep drives exactly this writer against a fault-injecting in-memory
 // store. A fault-wounded plane surfaces here as the mem.ErrPlaneWounded
 // error ClosePlane returns; everything sealed before the wound is already
@@ -222,7 +215,7 @@ func WriteStoreFS(fsys fault.FS, p Params, hit func(point string, epoch uint64))
 	return nvm.ClosePlane()
 }
 
-// Golden replays the version stream that WriteStore(p, ...) writes and
+// Golden replays the version stream that WriteStoreFS(fsys, p, ...) writes and
 // returns the cumulative last-write-wins image after each epoch;
 // golden[0] is the empty pre-run state. This is the diffcheck-style model
 // the salvaged image must match byte-for-byte.
