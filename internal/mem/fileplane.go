@@ -1,8 +1,6 @@
 package mem
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"path/filepath"
 
@@ -12,26 +10,27 @@ import (
 
 // File-backed durable plane: an append/checkpoint on-disk format with
 // manifest discipline, modelled on LSM manifest/WAL layering (NoKV) and
-// CoW base-image + delta overlays (dh-cli). The directory holds
+// CoW base-image + delta overlays (dh-cli). Every file is built from the
+// shared framing of check.go; the directory holds
 //
-//   - MANIFEST — one fixed-size checksummed record naming the durable
-//     state: newest sealed epoch, the base checkpoint (if any) and the
-//     contiguous range of sealed delta segments layered on top of it.
+//   - MANIFEST — one header record [FileManifestMagic, version,
+//     sealedEpoch, ckptSeq+1, ckptEpoch, segBase, segCount] naming the
+//     durable state: newest sealed epoch, the base checkpoint (if any) and
+//     the contiguous range of sealed delta segments layered on top of it.
 //     Every epoch seal rewrites it atomically: write MANIFEST.tmp, fsync
 //     the file, rename over MANIFEST, fsync the parent directory.
-//   - delta-NNNNNN.log — append-only word-burst records (the committed
-//     NVM writes of one seal interval), terminated by a seal record. The
-//     segment is fsynced before the manifest lists it; the highest-
+//   - delta-NNNNNN.log — frames of word bursts [addr, n, words...] with
+//     recs = bursts (the committed NVM writes of one seal interval), then
+//     a seal frame [epoch, bursts in segment] with recs 0; no end marker.
+//     The segment is fsynced before the manifest lists it; the highest-
 //     numbered segment is the active one and may have a torn tail after
 //     kill -9.
-//   - checkpoint-NNNNNN.img — a full base image written every
-//     CheckpointEvery seals so unchanged words are shared across epochs
-//     on disk instead of replayed from ever-growing logs. Superseded
-//     segments and checkpoints are deleted only after the manifest that
-//     stops referencing them is durable.
-//
-// All records reuse the repository's checksummed word-record encoding
-// (RecordCheck / ValidRecord), serialised little-endian.
+//   - checkpoint-NNNNNN.img — a full base image: header [FileCkptMagic,
+//     version, epoch, nwords], frames of sorted (addr, word) pairs, the
+//     end marker. Written every CheckpointEvery seals so unchanged words
+//     are shared across epochs on disk instead of replayed from
+//     ever-growing logs. Superseded segments and checkpoints are deleted
+//     only after the manifest that stops referencing them is durable.
 //
 // Every filesystem operation goes through the fault.FS seam: production
 // runs over fault.OS, the crash-consistency sweep over a MemFS wrapped in
@@ -39,24 +38,28 @@ import (
 // any permanent write-path failure wounds the plane (ErrPlaneWounded):
 // writes stop, the RAM mirror and everything already sealed stay readable.
 const (
-	// FileFormatVersion is the manifest schema version.
-	FileFormatVersion = 1
+	// FileFormatVersion is the store format version, carried by the
+	// manifest and checkpoint headers.
+	FileFormatVersion = 2
 
 	// FileManifestMagic marks the manifest record ("NVO-MFS1").
 	FileManifestMagic uint64 = 0x4e564f2d4d465331
-	// FileCkptMagic marks a checkpoint header ("NVO-CKP1").
+	// FileCkptMagic marks a checkpoint header and seeds its frame checks
+	// ("NVO-CKP1").
 	FileCkptMagic uint64 = 0x4e564f2d434b5031
-	// FileDeltaMagic marks a delta-log word-burst record ("NVO-DLT1").
+	// FileDeltaMagic seeds delta-segment frame checks ("NVO-DLT1").
 	FileDeltaMagic uint64 = 0x4e564f2d444c5431
-	// FileSealMagic marks a delta-segment seal record ("NVO-SSL1").
-	FileSealMagic uint64 = 0x4e564f2d53534c31
 
-	// manifestWords is the manifest record size: [magic, version,
-	// sealedEpoch, ckptSeq+1, ckptEpoch, segBase, segCount, check].
-	manifestWords = 8
+	// manifestWords is the manifest record size before its check word.
+	manifestWords = 7
+	// deltaFrameBytes is the payload size at which a delta frame is written
+	// out: the granularity at which kill -9 tears the active segment.
+	deltaFrameBytes = 4 << 10
+	// ckptFramePairs is the (addr, word) pairs per checkpoint frame: 64 KiB.
+	ckptFramePairs = 4 << 10
 
 	// maxDeltaWords bounds one Apply burst on disk; anything larger in a
-	// record header is corruption, not data.
+	// burst header is corruption, not data.
 	maxDeltaWords = 1 << 16
 
 	// DefaultCheckpointEvery is the checkpoint cadence (epoch seals per
@@ -66,10 +69,6 @@ const (
 	manifestName = "MANIFEST"
 	manifestTemp = "MANIFEST.tmp"
 )
-
-// ckptDigestSeed seeds the running digest over checkpoint (addr, word)
-// pairs ("CKPTSUM1").
-const ckptDigestSeed uint64 = 0x434b505453554d31
 
 // DeltaFileName returns the delta segment file name for a sequence number.
 func DeltaFileName(seq int) string { return fmt.Sprintf("delta-%06d.log", seq) }
@@ -89,11 +88,14 @@ type FilePlane struct {
 	ram  *RAMPlane
 
 	seg       *retryFile
-	w         *bufio.Writer
 	seq       int // active segment sequence number
 	segBase   int // first sealed segment still referenced
 	segCount  int // sealed segments in [segBase, segBase+segCount)
 	recsInSeg uint64
+
+	payload    []byte // bursts not yet written as a delta frame
+	payloadRec uint64 // bursts in payload
+	frame      []byte // reusable encoded frames
 
 	ckptSeq        int // -1: no checkpoint yet
 	ckptEpoch      uint64
@@ -105,8 +107,6 @@ type FilePlane struct {
 	hook func(point string, epoch uint64)
 
 	bus *obs.Bus // nil when unobserved
-
-	scratch []byte
 }
 
 // OpenFilePlaneFS creates a fresh durable store in dir (created if needed)
@@ -138,7 +138,6 @@ func OpenFilePlaneFS(fsys fault.FS, dir string, checkpointEvery int) (*FilePlane
 		seq:       0,
 		ckptSeq:   -1,
 		ckptEvery: checkpointEvery,
-		scratch:   make([]byte, 8),
 	}
 	if err := p.openSegment(); err != nil {
 		return nil, err
@@ -201,35 +200,43 @@ func (p *FilePlane) openSegment() error {
 		return fmt.Errorf("mem: delta segment: %w", err)
 	}
 	p.seg = &retryFile{f: f, p: p}
-	p.w = bufio.NewWriter(p.seg)
 	p.recsInSeg = 0
 	return nil
 }
 
-func (p *FilePlane) putWord(w *bufio.Writer, v uint64) {
-	binary.LittleEndian.PutUint64(p.scratch, v)
-	if _, err := w.Write(p.scratch); err != nil {
-		p.fail(err)
-	}
-}
-
-// Apply implements DurablePlane: mirror to RAM, append a checksummed
-// word-burst record to the active delta segment.
+// Apply implements DurablePlane: mirror to RAM, append the word burst to
+// the pending delta frame, and write the frame out once it reaches
+// deltaFrameBytes.
 func (p *FilePlane) Apply(addr uint64, words []uint64) {
 	p.ram.Apply(addr, words)
 	if p.err != nil {
 		return
 	}
-	header := []uint64{FileDeltaMagic, addr, uint64(len(words))}
-	check := RecordCheck(append(header, words...))
-	for _, v := range header {
-		p.putWord(p.w, v)
-	}
-	for _, v := range words {
-		p.putWord(p.w, v)
-	}
-	p.putWord(p.w, check)
+	p.payload = AppendWords(AppendWords(p.payload, addr, uint64(len(words))), words...)
+	p.payloadRec++
 	p.recsInSeg++
+	if len(p.payload) >= deltaFrameBytes {
+		p.writeFrames(nil)
+	}
+}
+
+// writeFrames writes the pending delta frame, if any, followed by a seal
+// frame carrying seal when seal is non-nil, in one write.
+func (p *FilePlane) writeFrames(seal []byte) {
+	p.frame = p.frame[:0]
+	if p.payloadRec > 0 {
+		p.frame = AppendFrame(p.frame, FileDeltaMagic, p.payloadRec, p.payload)
+	}
+	if seal != nil {
+		p.frame = AppendFrame(p.frame, FileDeltaMagic, 0, seal)
+	}
+	p.payload, p.payloadRec = p.payload[:0], 0
+	if len(p.frame) == 0 {
+		return
+	}
+	if _, err := p.seg.Write(p.frame); err != nil {
+		p.fail(err)
+	}
 }
 
 // SealEpoch implements DurablePlane: terminate and fsync the active
@@ -251,14 +258,8 @@ func (p *FilePlane) SealEpoch(epoch uint64) {
 	if epoch > p.sealedEpoch {
 		p.sealedEpoch = epoch
 	}
-	seal := []uint64{FileSealMagic, epoch, p.recsInSeg}
-	check := RecordCheck(seal)
-	for _, v := range seal {
-		p.putWord(p.w, v)
-	}
-	p.putWord(p.w, check)
-	if err := p.w.Flush(); err != nil {
-		p.fail(err)
+	p.writeFrames(AppendWords(nil, epoch, p.recsInSeg))
+	if p.err != nil {
 		return
 	}
 	if err := p.seg.Sync(); err != nil {
@@ -269,7 +270,7 @@ func (p *FilePlane) SealEpoch(epoch uint64) {
 		p.fail(err)
 		return
 	}
-	p.seg, p.w = nil, nil
+	p.seg = nil
 	p.segCount++
 	p.sealsSinceCkpt++
 	p.at("segment-synced", epoch)
@@ -313,10 +314,10 @@ func (p *FilePlane) SealEpoch(epoch uint64) {
 	}
 }
 
-// writeCheckpoint dumps the full word array as checkpoint seq: header
-// [magic, version, epoch, nwords, check], sorted (addr, word) pairs, one
-// trailing running digest word. Written to a temp name, fsynced, renamed,
-// parent directory fsynced.
+// writeCheckpoint dumps the full word array as checkpoint seq: a header
+// [magic, version, epoch, nwords], frames of sorted (addr, word) pairs,
+// the end marker. Written to a temp name, fsynced, renamed, parent
+// directory fsynced.
 //
 // nvlint:durable
 func (p *FilePlane) writeCheckpoint(seq int) error {
@@ -327,31 +328,26 @@ func (p *FilePlane) writeCheckpoint(seq int) error {
 		return fmt.Errorf("mem: checkpoint: %w", err)
 	}
 	rf := &retryFile{f: f, p: p}
-	w := bufio.NewWriterSize(rf, 1<<16)
 	addrs := p.ram.SortedAddrs()
-	header := []uint64{FileCkptMagic, FileFormatVersion, p.sealedEpoch, uint64(len(addrs))}
-	for _, v := range header {
-		p.putWord(w, v)
-	}
-	p.putWord(w, RecordCheck(header))
-	digest := ckptDigestSeed
-	for _, a := range addrs {
-		v, _ := p.ram.Word(a)
-		p.putWord(w, a)
-		p.putWord(w, v)
-		digest = PairMix(PairMix(digest, a), v)
-	}
-	p.putWord(w, digest)
-	if p.err != nil {
-		// putWord failures landed in p.err; surface them as the checkpoint
-		// error so the temp file is not renamed into place.
-		err := p.err
-		_ = rf.Close() // the write error is the one worth reporting
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		_ = rf.Close() // the flush error is the one worth reporting
-		return fmt.Errorf("mem: checkpoint: %w", err)
+	buf := AppendHeader(nil, FileCkptMagic, FileFormatVersion, p.sealedEpoch, uint64(len(addrs)))
+	var payload []byte
+	for done := false; !done; buf = buf[:0] {
+		n := min(ckptFramePairs, len(addrs))
+		payload = payload[:0]
+		for _, a := range addrs[:n] {
+			v, _ := p.ram.Word(a)
+			payload = AppendWords(payload, a, v)
+		}
+		if addrs = addrs[n:]; n > 0 {
+			buf = AppendFrame(buf, FileCkptMagic, uint64(n), payload)
+		}
+		if done = len(addrs) == 0; done {
+			buf = AppendFrame(buf, FileCkptMagic, 0, nil) // end marker
+		}
+		if _, err := rf.Write(buf); err != nil {
+			_ = rf.Close() // the write error is the one worth reporting
+			return fmt.Errorf("mem: checkpoint: %w", err)
+		}
 	}
 	if err := rf.Sync(); err != nil {
 		_ = rf.Close() // the sync error is the one worth reporting
@@ -377,27 +373,16 @@ func (p *FilePlane) writeCheckpoint(seq int) error {
 //
 // nvlint:durable
 func (p *FilePlane) writeManifest(epoch uint64) error {
-	words := []uint64{
-		FileManifestMagic,
-		FileFormatVersion,
-		p.sealedEpoch,
-		uint64(p.ckptSeq + 1), // 0: no checkpoint
-		p.ckptEpoch,
-		uint64(p.segBase),
-		uint64(p.segCount),
-	}
-	words = append(words, RecordCheck(words))
 	tmp := filepath.Join(p.dir, manifestTemp)
 	f, err := p.fsys.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("mem: manifest: %w", err)
 	}
 	rf := &retryFile{f: f, p: p}
-	buf := make([]byte, 8*len(words))
-	for i, v := range words {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
-	if _, err := rf.Write(buf); err != nil {
+	rec := AppendHeader(nil, FileManifestMagic, FileFormatVersion, p.sealedEpoch,
+		uint64(p.ckptSeq+1), // 0: no checkpoint
+		p.ckptEpoch, uint64(p.segBase), uint64(p.segCount))
+	if _, err := rf.Write(rec); err != nil {
 		_ = rf.Close() // the write error is the one worth reporting
 		return fmt.Errorf("mem: manifest: %w", err)
 	}
@@ -455,15 +440,16 @@ func (p *FilePlane) Err() error { return p.err }
 // the guarantee the soak verifies).
 func (p *FilePlane) Close() error {
 	if p.seg != nil {
-		if err := p.w.Flush(); err != nil {
-			p.fail(err)
-		} else if err := p.seg.Sync(); err != nil {
-			p.fail(err)
+		p.writeFrames(nil)
+		if p.err == nil {
+			if err := p.seg.Sync(); err != nil {
+				p.fail(err)
+			}
 		}
 		if err := p.seg.Close(); err != nil {
 			p.fail(err)
 		}
-		p.seg, p.w = nil, nil
+		p.seg = nil
 	}
 	return p.err
 }

@@ -1,7 +1,7 @@
 package mem
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,8 +63,8 @@ var errReplayStop = errors.New("replay stopped")
 // or missing delta segment stops replay at the last intact boundary and
 // the caller's image-level salvage decides which epoch survives whole.
 // Fatal returns (nil image) happen only when no trustworthy base exists:
-// the manifest is corrupt, from a future format, or references a
-// checkpoint that is missing or fails its digest.
+// the manifest is corrupt, of another format version, or references a
+// checkpoint that is missing or fails its checks.
 //
 // The crash-consistency sweep passes an in-memory fsys and so replays the
 // post-crash durable state of a store exactly the way a fresh process
@@ -77,79 +77,56 @@ func LoadDirFS(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 		rep.addDamage("store-missing", dir, "cannot read store directory")
 		return nil, rep, fmt.Errorf("mem: open store: %w", err)
 	}
-	maxDelta, haveDelta := -1, false
-	haveCkpt := false
+	sealedState := false // a checkpoint or a segment past the first exists
 	for _, name := range names {
-		if strings.HasSuffix(name, ".tmp") {
+		var seq int
+		switch {
+		case strings.HasSuffix(name, ".tmp"):
 			// An interrupted temp write: the rename never happened, so the
 			// published state does not reference it. Evidence, not damage.
 			rep.addDamage("stale-temp", name, "interrupted temp-file write; ignored")
-			continue
-		}
-		if isDeltaName(name) {
-			haveDelta = true
-			var seq int
-			if _, err := fmt.Sscanf(name, "delta-%06d.log", &seq); err == nil && seq > maxDelta {
-				maxDelta = seq
-			}
-		}
-		if isCkptName(name) {
-			haveCkpt = true
+		case isCkptName(name):
+			sealedState = true
+		case isDeltaName(name):
+			_, err := fmt.Sscanf(name, "delta-%06d.log", &seq)
+			sealedState = sealedState || err == nil && seq > 0
 		}
 	}
 
 	raw, err := fsys.ReadFile(filepath.Join(dir, manifestName))
 	switch {
+	case errors.Is(err, iofs.ErrNotExist) && sealedState:
+		rep.Fatal = "manifest-missing"
+		rep.addDamage("manifest-missing", manifestName, "sealed store state present but manifest destroyed")
+		return nil, rep, errors.New("mem: manifest missing from non-empty store")
 	case errors.Is(err, iofs.ErrNotExist):
-		// No manifest. A run killed before its first epoch seal legitimately
-		// leaves only delta-000000.log; anything richer means the manifest
-		// itself was destroyed.
-		if haveCkpt || maxDelta > 0 {
-			rep.Fatal = "manifest-missing"
-			rep.addDamage("manifest-missing", manifestName, "sealed store state present but manifest destroyed")
-			return nil, rep, errors.New("mem: manifest missing from non-empty store")
-		}
-		words := make(map[uint64]uint64)
-		if haveDelta {
-			n, _, err := replaySegment(fsys, filepath.Join(dir, DeltaFileName(0)), words, false, rep)
-			if err != nil && !errors.Is(err, errReplayStop) {
-				return nil, rep, err
-			}
-			rep.ActiveRecords = n
-		}
-		return NewImage(words), rep, nil
+		// A run killed before its first epoch seal legitimately leaves only
+		// its active segment, delta-000000.log.
+		return replayActive(fsys, dir, 0, make(map[uint64]uint64), rep)
 	case err != nil:
 		rep.Fatal = "manifest-unreadable"
 		rep.addDamage("manifest-unreadable", manifestName, err.Error())
 		return nil, rep, fmt.Errorf("mem: manifest: %w", err)
 	}
-	if len(raw) != manifestWords*8 {
-		rep.Fatal = "manifest-corrupt"
-		rep.addDamage("manifest-corrupt", manifestName, fmt.Sprintf("size %d, want %d", len(raw), manifestWords*8))
-		return nil, rep, errors.New("mem: manifest corrupt: bad size")
+	m, err := ReadHeader(bytes.NewReader(raw), FileManifestMagic, FileFormatVersion, manifestWords, 0, 0)
+	switch {
+	case err != nil:
+	case len(raw) != (manifestWords+1)*8:
+		err = fmt.Errorf("%w: size %d, want %d", ErrFormat, len(raw), (manifestWords+1)*8)
+	case m[3] > 1<<20 || m[5] > 1<<20 || m[6] > 1<<20:
+		err = fmt.Errorf("%w: implausible sequence numbers", ErrFormat)
 	}
-	m := make([]uint64, manifestWords)
-	for i := range m {
-		m[i] = binary.LittleEndian.Uint64(raw[i*8:])
-	}
-	if !ValidRecord(m, FileManifestMagic) {
-		rep.Fatal = "manifest-corrupt"
-		rep.addDamage("manifest-corrupt", manifestName, "checksum or magic mismatch")
-		return nil, rep, errors.New("mem: manifest corrupt: checksum mismatch")
-	}
-	if m[1] != FileFormatVersion {
-		rep.Fatal = "manifest-version"
-		rep.addDamage("manifest-version", manifestName, fmt.Sprintf("format version %d, reader supports %d", m[1], FileFormatVersion))
-		return nil, rep, fmt.Errorf("mem: manifest format version %d not supported", m[1])
+	if err != nil {
+		kind := "manifest-corrupt"
+		if errors.Is(err, errVersion) {
+			kind = "manifest-version"
+		}
+		rep.Fatal = kind
+		rep.addDamage(kind, manifestName, err.Error())
+		return nil, rep, fmt.Errorf("mem: manifest: %w", err)
 	}
 	rep.SealedEpoch = m[2]
-	ckptSeq := int(m[3]) - 1
-	segBase, segCount := int(m[5]), int(m[6])
-	if ckptSeq > 1<<20 || segBase > 1<<20 || segCount > 1<<20 {
-		rep.Fatal = "manifest-corrupt"
-		rep.addDamage("manifest-corrupt", manifestName, "implausible sequence numbers")
-		return nil, rep, errors.New("mem: manifest corrupt: implausible sequence numbers")
-	}
+	ckptSeq, segBase, segCount := int(m[3])-1, int(m[5]), int(m[6])
 
 	words := make(map[uint64]uint64)
 	if ckptSeq >= 0 {
@@ -173,191 +150,149 @@ func LoadDirFS(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 	for seq := segBase; seq < segBase+segCount; seq++ {
 		name := DeltaFileName(seq)
 		_, sealed, err := replaySegment(fsys, filepath.Join(dir, name), words, true, rep)
-		if err != nil {
-			if errors.Is(err, iofs.ErrNotExist) {
-				rep.addDamage("segment-missing", name, "manifest references a sealed delta segment that does not exist")
-				rep.Truncated = true
-				return NewImage(words), rep, nil
-			}
-			if errors.Is(err, errReplayStop) {
-				rep.Truncated = true
-				return NewImage(words), rep, nil
-			}
+		switch {
+		case errors.Is(err, iofs.ErrNotExist):
+			rep.addDamage("segment-missing", name, "manifest references a sealed delta segment that does not exist")
+		case errors.Is(err, errReplayStop):
+		case err != nil:
 			return nil, rep, err
+		case !sealed:
+			rep.addDamage("segment-unsealed", name, "sealed delta segment has no seal frame")
+		default:
+			rep.Segments++
+			continue
 		}
-		if !sealed {
-			rep.addDamage("segment-unsealed", name, "sealed delta segment has no seal record")
-			rep.Truncated = true
-			return NewImage(words), rep, nil
-		}
-		rep.Segments++
+		rep.Truncated = true
+		return NewImage(words), rep, nil
 	}
+	return replayActive(fsys, dir, segBase+segCount, words, rep)
+}
 
-	// Active segment: the writer's open log when it died. A torn tail here
-	// is the expected kill -9 shape; the valid prefix still holds committed
-	// (but unsealed) writes that image-level salvage may use.
-	active := DeltaFileName(segBase + segCount)
-	n, _, err := replaySegment(fsys, filepath.Join(dir, active), words, false, rep)
-	if err != nil && !errors.Is(err, errReplayStop) && !errors.Is(err, iofs.ErrNotExist) {
+// replayActive replays active segment seq — the writer's open log when it
+// died — on top of words. A torn tail here is the expected kill -9 shape;
+// the valid prefix still holds committed (but unsealed) writes that
+// image-level salvage may use.
+func replayActive(fsys fault.FS, dir string, seq int, words map[uint64]uint64, rep *DirReport) (*Image, *DirReport, error) {
+	n, _, err := replaySegment(fsys, filepath.Join(dir, DeltaFileName(seq)), words, false, rep)
+	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
 		return nil, rep, err
 	}
 	rep.ActiveRecords = n
 	return NewImage(words), rep, nil
 }
 
-// replaySegment applies one delta log's valid record prefix into words.
+// replaySegment applies one delta log's valid frame prefix into words.
 // sealed selects strict mode: damage in a manifest-listed segment is
 // reported as segment-torn and replay stops (errReplayStop); in the active
 // segment a torn tail is normal kill -9 evidence (active-torn) and the
-// valid prefix is kept. Returns the record count and whether a seal record
+// valid prefix is kept. Returns the burst count and whether a seal frame
 // terminated the segment.
 func replaySegment(fsys fault.FS, path string, words map[uint64]uint64, sealed bool, rep *DirReport) (int, bool, error) {
-	f, err := fsys.Open(path)
+	raw, err := fsys.ReadFile(path)
 	if err != nil {
 		return 0, false, err
 	}
-	r := bufio.NewReaderSize(f, 1<<16)
-	name := filepath.Base(path)
-	recs := 0
-	sawSeal := false
-	var replayErr error
-	torn := func(note string) {
-		if sealed {
-			rep.addDamage("segment-torn", name, note)
-			replayErr = errReplayStop
-		} else if note != "clean end" {
-			rep.addDamage("active-torn", name, note)
-		}
+	recs, sawSeal, damage := readSegment(bytes.NewReader(raw), words)
+	switch {
+	case damage != nil && sealed:
+		rep.addDamage("segment-torn", filepath.Base(path), damage.Error())
+		return recs, sawSeal, errReplayStop
+	case damage != nil:
+		rep.addDamage("active-torn", filepath.Base(path), damage.Error())
 	}
-loop:
-	for {
-		header, err := readWords(r, 3)
-		switch {
-		case errors.Is(err, io.EOF):
-			break loop
-		case err != nil:
-			torn("torn record header")
-			break loop
-		}
-		switch header[0] {
-		case FileDeltaMagic:
-			addr, n := header[1], header[2]
-			if n == 0 || n > maxDeltaWords || addr&7 != 0 {
-				torn(fmt.Sprintf("implausible delta record (addr %#x, %d words)", addr, n))
-				break loop
-			}
-			body, err := readWords(r, int(n)+1)
-			if err != nil {
-				torn(fmt.Sprintf("torn delta record body: %v", err))
-				break loop
-			}
-			rec := append(header, body...)
-			if !ValidRecord(rec, FileDeltaMagic) {
-				torn("delta record checksum mismatch")
-				break loop
-			}
-			for i, v := range body[:n] {
-				words[addr+uint64(i*8)] = v
-			}
-			recs++
-		case FileSealMagic:
-			body, err := readWords(r, 1)
-			if err != nil {
-				torn(fmt.Sprintf("torn seal record: %v", err))
-				break loop
-			}
-			rec := append(header, body...)
-			if !ValidRecord(rec, FileSealMagic) {
-				torn("seal record checksum mismatch")
-				break loop
-			}
-			if rec[2] != uint64(recs) {
-				torn(fmt.Sprintf("seal record counts %d records, segment has %d", rec[2], recs))
-				break loop
-			}
-			sawSeal = true
-			// A seal record terminates the segment; trailing bytes would
-			// mean the file was appended to after sealing. A Peek error is
-			// the expected clean EOF and carries no information.
-			if _, err := r.Peek(1); err == nil { //nvlint:allow errlatch a Peek error here is the expected clean EOF
-				torn("bytes after seal record")
-			}
-			break loop
-		default:
-			torn(fmt.Sprintf("unknown record magic %#x", header[0]))
-			break loop
-		}
-	}
-	if err := f.Close(); err != nil && replayErr == nil {
-		replayErr = err
-	}
-	return recs, sawSeal, replayErr
+	return recs, sawSeal, nil
 }
 
-// replayCheckpoint loads a base image into words, verifying the header
-// checksum and the running digest over all (addr, word) pairs. Any
-// mismatch is an error: a checkpoint is all-or-nothing, there is no older
-// state underneath it to fall back on.
+// readSegment applies delta frames until the input ends at a frame
+// boundary, returning the bursts applied, whether the seal frame — last,
+// counting every burst before it — was seen, and any damage that stopped
+// replay early.
+func readSegment(r io.Reader, words map[uint64]uint64) (int, bool, error) {
+	frames := NewFrameReader(r, FileDeltaMagic)
+	recs, sawSeal := 0, false
+	for {
+		n, p, err := frames.Next()
+		switch {
+		case err == errUnterminated:
+			return recs, sawSeal, nil
+		case err == io.EOF, err == nil && sawSeal:
+			err = fmt.Errorf("%w: end marker or frame after the seal frame", ErrFormat)
+		case err == nil && n == 0: // the seal frame: [epoch, bursts in segment]
+			if sawSeal = len(p) == 16 && binary.LittleEndian.Uint64(p[8:]) == uint64(recs); !sawSeal {
+				err = fmt.Errorf("%w: seal frame does not count the segment's %d bursts", ErrFormat, recs)
+			}
+		case err == nil:
+			if err = applyBursts(p, n, words); err == nil {
+				recs += int(n)
+			}
+		}
+		if err != nil {
+			return recs, sawSeal, err
+		}
+	}
+}
+
+// applyBursts applies a delta frame's n bursts [addr, count, words...].
+func applyBursts(p []byte, n uint64, words map[uint64]uint64) error {
+	for ; n > 0 && len(p) >= 16; n-- {
+		addr, cnt := binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])
+		if cnt == 0 || cnt > maxDeltaWords || addr&7 != 0 || uint64(len(p)-16) < 8*cnt {
+			return fmt.Errorf("%w: implausible burst (addr %#x, %d words)", ErrFormat, addr, cnt)
+		}
+		for p = p[16:]; cnt > 0; cnt, addr, p = cnt-1, addr+8, p[8:] {
+			words[addr] = binary.LittleEndian.Uint64(p)
+		}
+	}
+	if n != 0 || len(p) != 0 {
+		return fmt.Errorf("%w: delta frame does not hold exactly its bursts", ErrFormat)
+	}
+	return nil
+}
+
+// replayCheckpoint loads a base image into words, verifying the header,
+// every frame, and the header's word count. Any mismatch is an error: a
+// checkpoint is all-or-nothing, there is no older state underneath it.
 func replayCheckpoint(fsys fault.FS, path string, words map[uint64]uint64) error {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return err
 	}
-	name := filepath.Base(path)
-	r := bufio.NewReaderSize(f, 1<<16)
-	fail := func(note string) error {
+	if err := readCheckpoint(f, words); err != nil {
 		_ = f.Close() // the corruption is the error worth reporting
-		return fmt.Errorf("mem: checkpoint %s: %s", name, note)
-	}
-	header, err := readWords(r, 5)
-	if err != nil {
-		return fail(fmt.Sprintf("torn header: %v", err))
-	}
-	if !ValidRecord(header, FileCkptMagic) {
-		return fail("header checksum mismatch")
-	}
-	if header[1] != FileFormatVersion {
-		return fail(fmt.Sprintf("format version %d not supported", header[1]))
-	}
-	n := header[3]
-	if n > 1<<28 {
-		return fail("implausible word count")
-	}
-	digest := ckptDigestSeed
-	for i := uint64(0); i < n; i++ {
-		pair, err := readWords(r, 2)
-		if err != nil {
-			return fail(fmt.Sprintf("torn body: %v", err))
-		}
-		if pair[0]&7 != 0 {
-			return fail("misaligned word address")
-		}
-		words[pair[0]] = pair[1]
-		digest = PairMix(PairMix(digest, pair[0]), pair[1])
-	}
-	trailer, err := readWords(r, 1)
-	if err != nil {
-		return fail(fmt.Sprintf("missing digest: %v", err))
-	}
-	if trailer[0] != digest {
-		return fail("digest mismatch")
-	}
-	// A Peek error here is the expected clean EOF and carries no information.
-	if _, err := r.Peek(1); err == nil { //nvlint:allow errlatch a Peek error here is the expected clean EOF
-		return fail("bytes after digest")
+		return fmt.Errorf("mem: checkpoint %s: %w", filepath.Base(path), err)
 	}
 	return f.Close()
 }
 
-// readWords reads exactly n little-endian uint64 words.
-func readWords(r io.Reader, n int) ([]uint64, error) {
-	buf := make([]byte, n*8)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+// readCheckpoint decodes one checkpoint stream into words.
+func readCheckpoint(r io.Reader, words map[uint64]uint64) error {
+	h, err := ReadHeader(r, FileCkptMagic, FileFormatVersion, 4, 0, 0)
+	if err != nil {
+		return err
 	}
-	words := make([]uint64, n)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(buf[i*8:])
+	frames := NewFrameReader(r, FileCkptMagic)
+	for got := uint64(0); ; {
+		n, p, err := frames.Next()
+		switch {
+		case err == io.EOF && got != h[3]:
+			return fmt.Errorf("%w: checkpoint holds %d words, header claims %d", ErrFormat, got, h[3])
+		case err == io.EOF:
+			if _, _, err := frames.Next(); err != errUnterminated {
+				return fmt.Errorf("%w: bytes after the end marker", ErrFormat)
+			}
+			return nil
+		case err != nil:
+			return err
+		case uint64(len(p)) != 16*n:
+			return fmt.Errorf("%w: checkpoint frame of %d bytes claims %d pairs", ErrFormat, len(p), n)
+		}
+		for ; len(p) > 0; p = p[16:] {
+			a := binary.LittleEndian.Uint64(p)
+			if a&7 != 0 {
+				return fmt.Errorf("%w: misaligned word address %#x", ErrFormat, a)
+			}
+			words[a] = binary.LittleEndian.Uint64(p[8:])
+		}
+		got += n
 	}
-	return words, nil
 }

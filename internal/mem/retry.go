@@ -10,12 +10,12 @@ import (
 // I/O robustness policy of the file-backed plane, sitting between the
 // store's writers and the fault.FS seam.
 //
-// Retry happens here — below bufio — because bufio.Writer latches its first
-// error permanently: once a Flush fails, every later call returns the same
-// error and the buffered bytes are unrecoverable. retryFile absorbs
-// transient faults (short writes, transient EIO) before bufio ever sees
-// them, resuming short writes from the already-written prefix so the byte
-// stream reaching the file is exactly the byte stream the caller wrote.
+// Retry happens here, directly under the store's frame writes: retryFile
+// absorbs transient faults (short writes, transient EIO) before the writer
+// sees them, resuming short writes from the already-written prefix so the
+// byte stream reaching the file is exactly the byte stream the caller
+// wrote, and a frame is never left half-written by a fault that a retry
+// would have cleared.
 //
 // Sync is deliberately NOT retried. A failed fsync may have dropped the
 // dirty pages and a retry may falsely report success (fsyncgate); the only
@@ -55,8 +55,7 @@ func backoffTicks(attempt int) uint64 {
 }
 
 // retryFile adapts one fault.File with the transient-retry policy. It
-// implements fault.File itself, so bufio.Writer and the direct writers run
-// unchanged above it.
+// implements fault.File itself, so the writers run unchanged above it.
 type retryFile struct {
 	f fault.File
 	p *FilePlane // retry/fault accounting and obs emission

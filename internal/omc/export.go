@@ -1,85 +1,68 @@
 package omc
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/mem"
 )
 
 // Snapshot export/import: the paper's snapshots are random-accessible NVM
 // images; for a software library the equivalent artifact is a portable
 // binary file. Export serialises the consistent image of the recoverable
-// epoch (and, with retention, every accessible epoch delta) in a compact
-// little-endian format; Import reconstructs a read-only view for offline
-// inspection — the "archive them for future accesses" path of §V-E.
+// epoch (and, with retention, every accessible epoch delta); Import
+// reconstructs a read-only view for offline inspection — the "archive them
+// for future accesses" path of §V-E.
 //
-// File layout (all little-endian):
-//
-//	magic    [8]byte  "NVOVRLY1"
-//	recEpoch uint64
-//	nEpochs  uint64
-//	repeat nEpochs times:
-//	    epoch    uint64
-//	    nEntries uint64
-//	    repeat nEntries times: addr uint64, data uint64
-//
-// Epoch 0 holds the master image; further epochs are retained deltas.
-
-var exportMagic = [8]byte{'N', 'V', 'O', 'V', 'R', 'L', 'Y', '1'}
+// The archive is internal/mem's shared framing (checks seeded by
+// archiveMagic): a header [archiveMagic, archiveVersion, recEpoch,
+// nEpochs], then per epoch one or more frames [epoch, (addr, data)
+// pairs...] with recs = pairs in address order, then the end marker. Epoch
+// 0 holds the master image; further epochs are retained deltas. A flipped
+// byte or a torn tail fails its frame, and Import refuses the archive.
+const (
+	archiveMagic   uint64 = 0x4e564f2d41524331 // "NVO-ARC1"
+	archiveVersion        = 1
+	// archiveFramePairs bounds the entries per frame: 64 KiB payloads.
+	archiveFramePairs = 4 << 10
+)
 
 // Export writes the group's persistent snapshot state to w.
 func (g *Group) Export(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(exportMagic[:]); err != nil {
-		return err
-	}
-	write64 := func(v uint64) error { return binary.Write(bw, binary.LittleEndian, v) }
-
-	if err := write64(g.RecEpoch()); err != nil {
-		return err
-	}
-
-	// Epoch 0: the master image.
 	img, _ := g.RecoverImage()
 	epochs := g.Epochs()
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	if err := write64(uint64(len(epochs)) + 1); err != nil {
-		return err
-	}
-	if err := writeDelta(bw, 0, img); err != nil {
-		return err
-	}
+	buf := mem.AppendHeader(nil, archiveMagic, archiveVersion, g.RecEpoch(), uint64(len(epochs))+1)
+	buf = appendEpoch(buf, 0, img)
 	for _, e := range epochs {
-		if err := writeDelta(bw, e, g.EpochDelta(e)); err != nil {
+		if _, err := w.Write(buf); err != nil {
 			return err
 		}
+		buf = appendEpoch(buf[:0], e, g.EpochDelta(e))
 	}
-	return bw.Flush()
+	_, err := w.Write(mem.AppendFrame(buf, archiveMagic, 0, nil))
+	return err
 }
 
-func writeDelta(w io.Writer, epoch uint64, delta map[uint64]uint64) error {
-	if err := binary.Write(w, binary.LittleEndian, epoch); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(delta))); err != nil {
-		return err
-	}
+// appendEpoch appends one epoch's entries, in address order, as frames;
+// an empty delta still gets one frame so it survives the round trip.
+func appendEpoch(dst []byte, epoch uint64, delta map[uint64]uint64) []byte {
 	addrs := make([]uint64, 0, len(delta))
 	for a := range delta {
 		addrs = append(addrs, a)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		if err := binary.Write(w, binary.LittleEndian, a); err != nil {
-			return err
+	var payload []byte
+	for start := 0; start == 0 || start < len(addrs); start += archiveFramePairs {
+		pairs := addrs[start:min(start+archiveFramePairs, len(addrs))]
+		payload = mem.AppendWords(payload[:0], epoch)
+		for _, a := range pairs {
+			payload = mem.AppendWords(payload, a, delta[a])
 		}
-		if err := binary.Write(w, binary.LittleEndian, delta[a]); err != nil {
-			return err
-		}
+		dst = mem.AppendFrame(dst, archiveMagic, uint64(len(pairs)), payload)
 	}
-	return nil
+	return dst
 }
 
 // SnapshotFile is a deserialised snapshot archive.
@@ -89,61 +72,46 @@ type SnapshotFile struct {
 	Deltas   map[uint64]map[uint64]uint64 // per-epoch incremental changes
 }
 
-// Import parses a snapshot archive written by Export.
+// Import parses a snapshot archive written by Export. A damaged archive is
+// refused whole with an error wrapping mem.ErrTruncated, mem.ErrChecksum or
+// mem.ErrFormat.
 func Import(r io.Reader) (*SnapshotFile, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("omc: reading magic: %w", err)
-	}
-	if magic != exportMagic {
-		return nil, fmt.Errorf("omc: bad magic %q", magic[:])
-	}
-	read64 := func() (uint64, error) {
-		var v uint64
-		err := binary.Read(br, binary.LittleEndian, &v)
-		return v, err
-	}
-	rec, err := read64()
+	h, err := mem.ReadHeader(r, archiveMagic, archiveVersion, 4, 0, 0)
 	if err != nil {
-		return nil, fmt.Errorf("omc: reading rec-epoch: %w", err)
+		return nil, fmt.Errorf("omc: archive header: %w", err)
 	}
-	nEpochs, err := read64()
-	if err != nil {
-		return nil, fmt.Errorf("omc: reading epoch count: %w", err)
-	}
-	sf := &SnapshotFile{RecEpoch: rec, Deltas: make(map[uint64]map[uint64]uint64)}
-	for i := uint64(0); i < nEpochs; i++ {
-		epoch, err := read64()
+	epochs := make(map[uint64]map[uint64]uint64)
+	frames := mem.NewFrameReader(r, archiveMagic)
+	for {
+		n, p, err := frames.Next()
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			return nil, fmt.Errorf("omc: reading epoch header %d: %w", i, err)
+			return nil, fmt.Errorf("omc: archive: %w", err)
 		}
-		n, err := read64()
-		if err != nil {
-			return nil, fmt.Errorf("omc: reading entry count of epoch %d: %w", epoch, err)
+		if uint64(len(p)) != 8+16*n {
+			return nil, fmt.Errorf("omc: archive: %w: frame of %d bytes claims %d entries", mem.ErrFormat, len(p), n)
 		}
-		delta := make(map[uint64]uint64, n)
-		for j := uint64(0); j < n; j++ {
-			addr, err := read64()
-			if err != nil {
-				return nil, fmt.Errorf("omc: reading entry %d of epoch %d: %w", j, epoch, err)
-			}
-			data, err := read64()
-			if err != nil {
-				return nil, fmt.Errorf("omc: reading entry %d of epoch %d: %w", j, epoch, err)
-			}
-			delta[addr] = data
+		epoch := binary.LittleEndian.Uint64(p)
+		delta := epochs[epoch]
+		if delta == nil {
+			delta = make(map[uint64]uint64, n)
+			epochs[epoch] = delta
 		}
-		if epoch == 0 {
-			sf.Master = delta
-		} else {
-			sf.Deltas[epoch] = delta
+		for p = p[8:]; len(p) > 0; p = p[16:] {
+			delta[binary.LittleEndian.Uint64(p)] = binary.LittleEndian.Uint64(p[8:])
 		}
 	}
-	if sf.Master == nil {
-		return nil, fmt.Errorf("omc: archive missing the master image")
+	master, ok := epochs[0]
+	if !ok {
+		return nil, fmt.Errorf("omc: archive: %w: missing the master image", mem.ErrFormat)
 	}
-	return sf, nil
+	delete(epochs, 0)
+	if uint64(len(epochs))+1 != h[3] {
+		return nil, fmt.Errorf("omc: archive: %w: holds %d epochs, header lists %d", mem.ErrFormat, len(epochs)+1, h[3])
+	}
+	return &SnapshotFile{RecEpoch: h[2], Master: master, Deltas: epochs}, nil
 }
 
 // ReadAt returns the value of addr as of the given epoch using fall-through

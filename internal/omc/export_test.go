@@ -2,6 +2,7 @@ package omc
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -94,6 +95,16 @@ func TestImportRejectsCorruptInput(t *testing.T) {
 	// Truncated archive.
 	if _, err := Import(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated archive accepted")
+	}
+	// A byte flipped mid-archive fails its frame's check.
+	flipped := append([]byte(nil), buf.Bytes()...)
+	flipped[len(flipped)/2] ^= 0x04
+	if _, err := Import(bytes.NewReader(flipped)); !errors.Is(err, mem.ErrChecksum) {
+		t.Fatalf("flipped byte: error %v, want mem.ErrChecksum", err)
+	}
+	// A cut inside the last frame (its check word) is a torn tail.
+	if _, err := Import(bytes.NewReader(buf.Bytes()[:buf.Len()-20])); !errors.Is(err, mem.ErrTruncated) {
+		t.Fatalf("cut inside a frame: error %v, want mem.ErrTruncated", err)
 	}
 }
 

@@ -178,6 +178,20 @@ func TestLoadDirEdgeCases(t *testing.T) {
 			want:    recovery.ErrTornEpoch,
 		},
 		{
+			// A correctly checksummed manifest of another format version
+			// (here a version-1 store): its segments and checkpoints cannot
+			// be trusted to decode, so the store is refused, not misread.
+			name: "manifest-foreign-version",
+			mutate: func(t *testing.T, mfs *fault.MemFS, dir string) string {
+				writeBytes(t, mfs, filepath.Join(dir, mem.ManifestFileName()),
+					mem.AppendHeader(nil, mem.FileManifestMagic, 1, 6, 10, 5, 10, 2))
+				return dir
+			},
+			dirKind: "manifest-version",
+			fatal:   "manifest-version",
+			want:    recovery.ErrUnrecoverable,
+		},
+		{
 			// The directory the manifest discipline built simply is not
 			// there any more — wrong mount, deleted tree. Refuse, typed.
 			name: "store-directory-missing",

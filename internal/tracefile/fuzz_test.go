@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -129,7 +130,7 @@ func FuzzTraceFileRoundTrip(f *testing.F) {
 // classes — the contract callers branch on.
 func requireTyped(t *testing.T, err error) {
 	t.Helper()
-	if !errors.Is(err, ErrFormat) && !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrTruncated) {
+	if !errors.Is(err, mem.ErrFormat) && !errors.Is(err, mem.ErrChecksum) && !errors.Is(err, mem.ErrTruncated) {
 		t.Fatalf("untyped decode error: %v", err)
 	}
 }

@@ -8,22 +8,13 @@
 //
 // # Layout
 //
-// A trace file is a header followed by a sequence of chunks, terminated by
-// an end-marker chunk. All fixed-width fields are little-endian uint64
-// words; the checksum discipline is internal/mem's (RecordCheck for the
-// header, PairMix folding for chunk payloads), so a trace record validates
-// with the same primitives as the durable plane's on-disk records.
-//
-//	header:  [magic, version, cores, coresPerVD, lineSize, seed,
-//	          nextra, extra[0..nextra), check]
-//	chunk:   [len|recs] payload[len] [check]
-//	end:     [0] [check]
-//
-// The chunk header word packs the payload byte length (low 32 bits) and
-// the record count (high 32 bits); the trailing check word folds the
-// header word and the payload. Damage — a torn tail, a flipped byte —
-// fails the chunk it lands in, and the Reader salvages every record up to
-// the last intact chunk boundary before returning a typed error.
+// A trace file is internal/mem's shared framing, with chunk checks seeded
+// by chunkSeed: a header record [magic, version, cores, coresPerVD,
+// lineSize, seed, nextra, extra[0..nextra)], chunk frames whose payloads
+// are encoded records, and the end marker. Damage — a torn tail, a flipped
+// byte — fails the chunk it lands in, and the Reader salvages every record
+// up to the last intact chunk boundary before returning one of mem's typed
+// errors (mem.ErrTruncated, mem.ErrChecksum, mem.ErrFormat).
 //
 // # Records
 //
@@ -41,8 +32,6 @@
 package tracefile
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -62,32 +51,12 @@ const (
 
 	// chunkTarget is the payload size a Writer flushes at.
 	chunkTarget = 64 << 10
-	// maxChunkBytes is the largest chunk payload a Reader accepts; a
-	// header word claiming more is corruption, not data.
-	maxChunkBytes = 1 << 20
-	// maxChunkRecs likewise bounds the per-chunk record count.
-	maxChunkRecs = 1 << 20
 
 	// headerFixedWords counts the header words before the extra section.
 	headerFixedWords = 7
 
-	// chunkCheckSeed seeds the per-chunk payload digest ("TRCCHUNK").
-	chunkCheckSeed uint64 = 0x5452434348554e4b
-)
-
-// Typed decode errors. Every Reader failure wraps exactly one of these, so
-// callers can distinguish structural garbage from damage to a valid file.
-var (
-	// ErrFormat marks structural corruption: a bad magic or version, an
-	// out-of-range length or record field, varint overflow, or payload
-	// bytes left over after the declared record count.
-	ErrFormat = errors.New("tracefile: malformed trace")
-	// ErrChecksum marks a header or chunk whose checksum does not match
-	// its content.
-	ErrChecksum = errors.New("tracefile: checksum mismatch")
-	// ErrTruncated marks a file that ends mid-header, mid-chunk, or
-	// before the end marker (a torn tail after a crash or partial copy).
-	ErrTruncated = errors.New("tracefile: truncated trace")
+	// chunkSeed seeds the per-chunk frame check ("TRCCHUNK").
+	chunkSeed uint64 = 0x5452434348554e4b
 )
 
 // Shape is the machine shape a trace was captured on, stored in the header
@@ -123,26 +92,6 @@ func (s Shape) headerWords() []uint64 {
 		uint64(s.LineSize), uint64(s.Seed), uint64(len(s.Extra)))
 	words = append(words, s.Extra...)
 	return append(words, mem.RecordCheck(words))
-}
-
-// chunkCheck folds a chunk's header word and payload bytes into the
-// trailing check word. The payload is folded eight bytes at a time with
-// the final partial word zero-padded; the header word carries the true
-// byte length, so padding cannot alias a different payload.
-func chunkCheck(hdr uint64, payload []byte) uint64 {
-	c := mem.PairMix(chunkCheckSeed, hdr)
-	for len(payload) >= 8 {
-		c = mem.PairMix(c, binary.LittleEndian.Uint64(payload))
-		payload = payload[8:]
-	}
-	if len(payload) > 0 {
-		var w uint64
-		for i, b := range payload {
-			w |= uint64(b) << (8 * i)
-		}
-		c = mem.PairMix(c, w)
-	}
-	return c
 }
 
 // zigzag maps a signed delta onto an unsigned varint-friendly value.
@@ -183,18 +132,10 @@ func Create(fsys fault.FS, path string, shape Shape) (*Writer, error) {
 	}
 	shape.Extra = append([]uint64(nil), shape.Extra...) // detach from the caller
 	w := &Writer{f: f, shape: shape, payload: make([]byte, 0, chunkTarget+32)}
-	hdr := shape.headerWords()
-	buf := make([]byte, 8*len(hdr))
-	for i, v := range hdr {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
+	buf := mem.AppendWords(nil, shape.headerWords()...)
 	if _, err := f.Write(buf); err != nil {
-		w.err = fmt.Errorf("tracefile: header: %w", err)
-		if cerr := f.Close(); cerr != nil {
-			// The write error is the one worth reporting.
-			_ = cerr
-		}
-		return nil, w.err
+		_ = f.Close() // the write error is the one worth reporting
+		return nil, fmt.Errorf("tracefile: header: %w", err)
 	}
 	w.bytes = int64(len(buf))
 	return w, nil
@@ -235,35 +176,40 @@ func (w *Writer) Append(a trace.Access) error {
 	w.recs++
 	w.records++
 	if len(w.payload) >= chunkTarget {
-		w.flushChunk()
+		w.flushChunk(false)
 	}
 	return w.err
 }
 
-// flushChunk writes the buffered payload as one framed chunk and resets
+// flushChunk writes the buffered records as one chunk frame (nothing when
+// there are none), followed by the end marker when end is set, and resets
 // the delta state so the next chunk decodes independently.
-func (w *Writer) flushChunk() {
+func (w *Writer) flushChunk(end bool) {
 	if w.err != nil {
 		return
 	}
-	hdr := uint64(len(w.payload)) | w.recs<<32
 	w.frame = w.frame[:0]
-	w.frame = binary.LittleEndian.AppendUint64(w.frame, hdr)
-	w.frame = append(w.frame, w.payload...)
-	w.frame = binary.LittleEndian.AppendUint64(w.frame, chunkCheck(hdr, w.payload))
+	if w.recs > 0 {
+		w.frame = mem.AppendFrame(w.frame, chunkSeed, w.recs, w.payload)
+	}
+	if end {
+		w.frame = mem.AppendFrame(w.frame, chunkSeed, 0, nil)
+	}
 	if _, err := w.f.Write(w.frame); err != nil {
 		w.err = fmt.Errorf("tracefile: chunk write: %w", err)
 		return
 	}
 	w.bytes += int64(len(w.frame))
-	w.chunks++
+	if w.recs > 0 {
+		w.chunks++
+	}
 	w.payload = w.payload[:0]
 	w.recs = 0
 	w.prev = 0
 	w.prevTok = 0
 }
 
-// Close flushes the final partial chunk, writes the end marker, syncs and
+// Close flushes the final partial chunk and the end marker, syncs and
 // closes the file. A trace without its end marker reads back as truncated,
 // so Close is what makes a recording complete.
 func (w *Writer) Close() error {
@@ -271,18 +217,7 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	w.closed = true
-	if w.recs > 0 {
-		w.flushChunk()
-	}
-	if w.err == nil {
-		var end [16]byte
-		binary.LittleEndian.PutUint64(end[8:], chunkCheck(0, nil))
-		if _, err := w.f.Write(end[:]); err != nil {
-			w.err = fmt.Errorf("tracefile: end marker: %w", err)
-		} else {
-			w.bytes += 16
-		}
-	}
+	w.flushChunk(true)
 	if w.err == nil {
 		if err := w.f.Sync(); err != nil {
 			w.err = fmt.Errorf("tracefile: sync: %w", err)
@@ -306,22 +241,21 @@ func (w *Writer) Bytes() int64 { return w.bytes }
 // Reader streams accesses back out of a trace file, decoding one chunk at
 // a time into a reused buffer. Next yields every record of every intact
 // chunk in order; at a clean end marker it returns io.EOF, and at the
-// first damaged chunk it returns a typed error (ErrTruncated, ErrChecksum
-// or ErrFormat) — everything yielded before that is the salvage, exactly
-// the records up to the last intact chunk boundary.
+// first damaged chunk it returns a typed error (mem.ErrTruncated,
+// mem.ErrChecksum or mem.ErrFormat) — everything yielded before that is the
+// salvage, exactly the records up to the last intact chunk boundary.
 type Reader struct {
-	f     fault.File
-	shape Shape
+	f      fault.File
+	frames *mem.FrameReader
+	shape  Shape
 
-	recs  []trace.Access // decoded current chunk
-	pos   int
-	frame []byte // reusable chunk read buffer
+	recs []trace.Access // decoded current chunk
+	pos  int
 
 	records uint64
 	chunks  int
 
-	done bool
-	err  error // latched terminal state: io.EOF or a typed damage error
+	err error // latched terminal state: io.EOF or a typed damage error
 }
 
 // OpenReader opens a trace file and validates its header.
@@ -330,69 +264,17 @@ func OpenReader(fsys fault.FS, path string) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracefile: open: %w", err)
 	}
-	r := &Reader{f: f}
-	if err := r.readHeader(); err != nil {
-		if cerr := f.Close(); cerr != nil {
-			// The header error is the one worth reporting.
-			_ = cerr
-		}
-		return nil, err
+	h, err := mem.ReadHeader(f, Magic, Version, headerFixedWords, 6, MaxExtraWords)
+	if err == nil && int(h[2]) <= 0 {
+		err = fmt.Errorf("%w: header claims %d cores", mem.ErrFormat, int(h[2]))
 	}
-	return r, nil
-}
-
-// readWords reads n little-endian words, distinguishing truncation from
-// I/O failure.
-func (r *Reader) readWords(dst []uint64, what string) error {
-	buf := make([]byte, 8*len(dst))
-	if _, err := io.ReadFull(r.f, buf); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("%w: short %s", ErrTruncated, what)
-		}
-		return fmt.Errorf("tracefile: reading %s: %w", what, err)
+	if err != nil {
+		_ = f.Close() // the header error is the one worth reporting
+		return nil, fmt.Errorf("tracefile: %w", err)
 	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(buf[i*8:])
-	}
-	return nil
-}
-
-// readHeader decodes and validates the TRC1 header.
-func (r *Reader) readHeader() error {
-	fixed := make([]uint64, headerFixedWords)
-	if err := r.readWords(fixed, "header"); err != nil {
-		return err
-	}
-	if fixed[0] != Magic {
-		return fmt.Errorf("%w: bad magic %#x", ErrFormat, fixed[0])
-	}
-	if fixed[1] != Version {
-		return fmt.Errorf("%w: unsupported version %d", ErrFormat, fixed[1])
-	}
-	nextra := fixed[6]
-	if nextra > MaxExtraWords {
-		return fmt.Errorf("%w: %d extra header words exceed the %d-word bound", ErrFormat, nextra, MaxExtraWords)
-	}
-	rest := make([]uint64, nextra+1)
-	if err := r.readWords(rest, "header"); err != nil {
-		return err
-	}
-	all := append(fixed, rest...)
-	if all[len(all)-1] != mem.RecordCheck(all[:len(all)-1]) {
-		return fmt.Errorf("%w: header", ErrChecksum)
-	}
-	cores := int(fixed[2])
-	if cores <= 0 {
-		return fmt.Errorf("%w: header claims %d cores", ErrFormat, cores)
-	}
-	r.shape = Shape{
-		Cores:      cores,
-		CoresPerVD: int(fixed[3]),
-		LineSize:   int(fixed[4]),
-		Seed:       int64(fixed[5]),
-		Extra:      append([]uint64(nil), rest[:nextra]...),
-	}
-	return nil
+	shape := Shape{Cores: int(h[2]), CoresPerVD: int(h[3]), LineSize: int(h[4]), Seed: int64(h[5]),
+		Extra: append([]uint64(nil), h[headerFixedWords:]...)}
+	return &Reader{f: f, frames: mem.NewFrameReader(f, chunkSeed), shape: shape}, nil
 }
 
 // Shape returns the machine shape recorded in the header.
@@ -411,87 +293,36 @@ func (r *Reader) Next() (trace.Access, error) {
 	return r.nextSlow()
 }
 
-// nextSlow refills from the next chunk (or latches the terminal state).
+// nextSlow refills r.recs from the next chunk, or latches the terminal
+// state: io.EOF at the end marker, else the typed damage error.
 func (r *Reader) nextSlow() (trace.Access, error) {
 	for r.pos >= len(r.recs) {
-		if r.done {
+		if r.err != nil {
 			return trace.Access{}, r.err
 		}
-		r.loadChunk()
+		nrecs, payload, err := r.frames.Next()
+		if err == nil {
+			err = r.decodeChunk(payload, int(nrecs))
+		}
+		switch {
+		case err == io.EOF:
+			r.err = io.EOF
+		case err != nil:
+			r.err = fmt.Errorf("tracefile: chunk %d, after %d records: %w", r.chunks, r.records, err)
+			r.recs, r.pos = r.recs[:0], 0
+		default:
+			r.records += nrecs
+			r.chunks++
+		}
 	}
 	a := r.recs[r.pos]
 	r.pos++
 	return a, nil
 }
 
-// fail latches a terminal decode state.
-func (r *Reader) fail(err error) {
-	r.done = true
-	r.err = err
-	r.recs = r.recs[:0]
-	r.pos = 0
-}
-
-// loadChunk reads and decodes the next chunk into r.recs, or latches the
-// terminal state (clean EOF or typed damage).
-func (r *Reader) loadChunk() {
-	var hdrBuf [8]byte
-	n, err := io.ReadFull(r.f, hdrBuf[:])
-	if err != nil {
-		if (err == io.EOF || err == io.ErrUnexpectedEOF) && n >= 0 {
-			r.fail(fmt.Errorf("%w: trace ends without its end marker after %d records", ErrTruncated, r.records))
-			return
-		}
-		r.fail(fmt.Errorf("tracefile: reading chunk header: %w", err))
-		return
-	}
-	hdr := binary.LittleEndian.Uint64(hdrBuf[:])
-	plen := hdr & 0xffffffff
-	nrecs := hdr >> 32
-	if plen > maxChunkBytes || nrecs > maxChunkRecs {
-		r.fail(fmt.Errorf("%w: chunk claims %d payload bytes, %d records", ErrFormat, plen, nrecs))
-		return
-	}
-	if (plen == 0) != (nrecs == 0) {
-		r.fail(fmt.Errorf("%w: chunk claims %d payload bytes for %d records", ErrFormat, plen, nrecs))
-		return
-	}
-	need := int(plen) + 8
-	if cap(r.frame) < need {
-		r.frame = make([]byte, need)
-	}
-	r.frame = r.frame[:need]
-	if _, err := io.ReadFull(r.f, r.frame); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			r.fail(fmt.Errorf("%w: torn chunk after %d records", ErrTruncated, r.records))
-			return
-		}
-		r.fail(fmt.Errorf("tracefile: reading chunk: %w", err))
-		return
-	}
-	payload := r.frame[:plen]
-	check := binary.LittleEndian.Uint64(r.frame[plen:])
-	if check != chunkCheck(hdr, payload) {
-		r.fail(fmt.Errorf("%w: chunk %d", ErrChecksum, r.chunks))
-		return
-	}
-	if plen == 0 {
-		// The end marker: the trace is complete.
-		r.done = true
-		r.err = io.EOF
-		return
-	}
-	if err := r.decodeChunk(payload, int(nrecs)); err != nil {
-		r.fail(err)
-		return
-	}
-	r.records += nrecs
-	r.chunks++
-}
-
 // decodeChunk decodes a validated payload into r.recs. The checksum has
 // already passed, but the decoder still bounds-checks every field so a
-// colliding or hand-built payload yields ErrFormat, never a panic.
+// colliding or hand-built payload yields mem.ErrFormat, never a panic.
 func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 	if cap(r.recs) < nrecs {
 		r.recs = make([]trace.Access, nrecs)
@@ -512,7 +343,7 @@ func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 			head := uint64(p[i])
 			tid := head >> 1
 			if tid >= cores {
-				return fmt.Errorf("%w: record %d tid %d out of range for %d cores", ErrFormat, k, tid, r.shape.Cores)
+				return fmt.Errorf("%w: record %d tid %d out of range for %d cores", mem.ErrFormat, k, tid, r.shape.Cores)
 			}
 			var delta, tok uint64
 			j := i + 1
@@ -557,16 +388,16 @@ func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 	slow:
 		head, n := uvarint(p, i)
 		if n <= 0 {
-			return fmt.Errorf("%w: record %d head varint", ErrFormat, k)
+			return fmt.Errorf("%w: record %d head varint", mem.ErrFormat, k)
 		}
 		i += n
 		tid := head >> 1
 		if tid >= cores {
-			return fmt.Errorf("%w: record %d tid %d out of range for %d cores", ErrFormat, k, tid, r.shape.Cores)
+			return fmt.Errorf("%w: record %d tid %d out of range for %d cores", mem.ErrFormat, k, tid, r.shape.Cores)
 		}
 		delta, n := uvarint(p, i)
 		if n <= 0 {
-			return fmt.Errorf("%w: record %d addr varint", ErrFormat, k)
+			return fmt.Errorf("%w: record %d addr varint", mem.ErrFormat, k)
 		}
 		i += n
 		prev += uint64(unzigzag(delta))
@@ -574,7 +405,7 @@ func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 		if a.Write {
 			tok, n := uvarint(p, i)
 			if n <= 0 {
-				return fmt.Errorf("%w: record %d token varint", ErrFormat, k)
+				return fmt.Errorf("%w: record %d token varint", mem.ErrFormat, k)
 			}
 			i += n
 			prevTok += uint64(unzigzag(tok))
@@ -583,7 +414,7 @@ func (r *Reader) decodeChunk(p []byte, nrecs int) error {
 		r.recs[k] = a
 	}
 	if i != len(p) {
-		return fmt.Errorf("%w: %d payload bytes beyond the declared records", ErrFormat, len(p)-i)
+		return fmt.Errorf("%w: %d payload bytes beyond the declared records", mem.ErrFormat, len(p)-i)
 	}
 	return nil
 }

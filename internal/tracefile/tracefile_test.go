@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -183,7 +184,7 @@ func TestMultiChunkStaysFlat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if cap(r.recs) > maxChunkRecs {
+		if cap(r.recs) > mem.MaxFrameRecs {
 			t.Fatalf("reader buffer grew to %d records", cap(r.recs))
 		}
 	}
@@ -297,7 +298,7 @@ func TestCorruptionMatrix(t *testing.T) {
 		{
 			name:    "truncated-header",
 			mutate:  func(b []byte) []byte { return b[:20] },
-			want:    ErrTruncated,
+			want:    mem.ErrTruncated,
 			openErr: true,
 		},
 		{
@@ -306,7 +307,7 @@ func TestCorruptionMatrix(t *testing.T) {
 				binary.LittleEndian.PutUint64(b[0:], 0xdeadbeef)
 				return b
 			},
-			want:    ErrFormat,
+			want:    mem.ErrFormat,
 			openErr: true,
 		},
 		{
@@ -315,7 +316,7 @@ func TestCorruptionMatrix(t *testing.T) {
 				binary.LittleEndian.PutUint64(b[8:], 99)
 				return b
 			},
-			want:    ErrFormat,
+			want:    mem.ErrFormat,
 			openErr: true,
 		},
 		{
@@ -324,19 +325,19 @@ func TestCorruptionMatrix(t *testing.T) {
 				b[3*8] ^= 0x40 // coresPerVD word
 				return b
 			},
-			want:    ErrChecksum,
+			want:    mem.ErrChecksum,
 			openErr: true,
 		},
 		{
 			name:    "torn-final-chunk",
 			mutate:  func(b []byte) []byte { return b[:offs[len(offs)-2]+13] },
-			want:    ErrTruncated,
+			want:    mem.ErrTruncated,
 			salvage: sumThrough(len(perChunk) - 1),
 		},
 		{
 			name:    "missing-end-marker",
 			mutate:  func(b []byte) []byte { return b[:offs[len(offs)-1]] },
-			want:    ErrTruncated,
+			want:    mem.ErrTruncated,
 			salvage: uint64(len(accs)),
 		},
 		{
@@ -345,7 +346,7 @@ func TestCorruptionMatrix(t *testing.T) {
 				b[offs[1]+17] ^= 0x01
 				return b
 			},
-			want:    ErrChecksum,
+			want:    mem.ErrChecksum,
 			salvage: sumThrough(1),
 		},
 		{
@@ -356,16 +357,16 @@ func TestCorruptionMatrix(t *testing.T) {
 				b[offs[2]+8+plen] ^= 0x80
 				return b
 			},
-			want:    ErrChecksum,
+			want:    mem.ErrChecksum,
 			salvage: sumThrough(2),
 		},
 		{
 			name: "oversized-chunk-claim",
 			mutate: func(b []byte) []byte {
-				binary.LittleEndian.PutUint64(b[offs[0]:], uint64(maxChunkBytes+1))
+				binary.LittleEndian.PutUint64(b[offs[0]:], uint64(mem.MaxFrameBytes+1))
 				return b
 			},
-			want:    ErrFormat,
+			want:    mem.ErrFormat,
 			salvage: 0,
 		},
 	}
@@ -425,7 +426,7 @@ func TestCorruptionMatrix(t *testing.T) {
 
 // TestDecodeBoundsCheckedAgainstForgedPayload: a chunk whose checksum is
 // valid (re-stamped by the attacker/test) but whose payload lies about its
-// record count yields ErrFormat, never a panic.
+// record count yields mem.ErrFormat, never a panic.
 func TestDecodeBoundsCheckedAgainstForgedPayload(t *testing.T) {
 	shape := testShape()
 	forge := func(payload []byte, nrecs uint64) []byte {
@@ -437,10 +438,10 @@ func TestDecodeBoundsCheckedAgainstForgedPayload(t *testing.T) {
 		hdr := uint64(len(payload)) | nrecs<<32
 		b = binary.LittleEndian.AppendUint64(b, hdr)
 		b = append(b, payload...)
-		b = binary.LittleEndian.AppendUint64(b, chunkCheck(hdr, payload))
+		b = binary.LittleEndian.AppendUint64(b, mem.FrameCheck(chunkSeed, hdr, payload))
 		// Clean end marker after the forged chunk.
 		b = binary.LittleEndian.AppendUint64(b, 0)
-		return binary.LittleEndian.AppendUint64(b, chunkCheck(0, nil))
+		return binary.LittleEndian.AppendUint64(b, mem.FrameCheck(chunkSeed, 0, nil))
 	}
 	cases := []struct {
 		name    string
@@ -458,8 +459,8 @@ func TestDecodeBoundsCheckedAgainstForgedPayload(t *testing.T) {
 			fsys := fault.NewMemFS()
 			rewrite(t, fsys, "t.trc", forge(tc.payload, tc.nrecs))
 			_, _, err := readAll(t, fsys, "t.trc")
-			if !errors.Is(err, ErrFormat) {
-				t.Fatalf("error = %v, want ErrFormat", err)
+			if !errors.Is(err, mem.ErrFormat) {
+				t.Fatalf("error = %v, want mem.ErrFormat", err)
 			}
 		})
 	}
