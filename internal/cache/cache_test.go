@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -30,6 +31,9 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		func() { New("x", 0, 2, 64) },
 		func() { New("x", 3*2*64, 2, 64) }, // 3 sets: not a power of two
 		func() { New("x", 128, 0, 64) },
+		func() { New("x", 4*2*48, 2, 48) },            // line size not a power of two
+		func() { NewGroup("x", 2, 4*2*48, 2, 48, 1) }, // same, through the group constructor
+		func() { NewGroup("x", 2, 3*2*64, 2, 64, 6) }, // 3 sets
 	} {
 		func() {
 			defer func() {
@@ -245,5 +249,28 @@ func TestLookupNeverEvicts(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNewGroupMembersIndependent(t *testing.T) {
+	g := NewGroup("llc", 3, 4*2*64, 2, 64, 3)
+	for i, c := range g {
+		if want := fmt.Sprintf("llc.%d", i); c.Name() != want {
+			t.Fatalf("member %d named %q, want %q", i, c.Name(), want)
+		}
+		if c.Capacity() != 8 {
+			t.Fatalf("member %d capacity %d", i, c.Capacity())
+		}
+	}
+	// Fill member 0 completely; its neighbours must stay empty.
+	for a := uint64(0); a < 64; a++ {
+		g[0].Insert(a * 64)
+	}
+	if g[0].CountValid() != 8 || g[1].CountValid() != 0 || g[2].CountValid() != 0 {
+		t.Fatalf("valid counts %d/%d/%d", g[0].CountValid(), g[1].CountValid(), g[2].CountValid())
+	}
+	g[1].Insert(0)
+	if g[0].Peek(0) != nil && g[1].Peek(0) == g[0].Peek(0) {
+		t.Fatal("group members share a line slot")
 	}
 }

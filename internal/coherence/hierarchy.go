@@ -85,33 +85,54 @@ type Hierarchy struct {
 	dram *mem.DRAM
 	cb   Callbacks
 	stat *stats.Set
+	ctr  counters
 	bus  *obs.Bus // nil when the run is unobserved
+}
+
+// counters holds the hierarchy's counter handles, so the per-access paths
+// increment them without hashing a key.
+type counters struct {
+	l1LoadHits, l2LoadHits, l1StoreHits, l2StoreHits *stats.Counter
+	llcHits, llcMisses                               *stats.Counter
+	remoteInvalidations, remoteDowngrades            *stats.Counter
+	backInvalidations, coherenceWritebacks           *stats.Counter
+	l1DirtyEvictions, l2DirtyEvictions               *stats.Counter
+	llcDirtyEvictions                                *stats.Counter
+}
+
+func newCounters(s *stats.Set) counters {
+	return counters{
+		l1LoadHits:          s.Counter("l1_load_hits"),
+		l2LoadHits:          s.Counter("l2_load_hits"),
+		l1StoreHits:         s.Counter("l1_store_hits"),
+		l2StoreHits:         s.Counter("l2_store_hits"),
+		llcHits:             s.Counter("llc_hits"),
+		llcMisses:           s.Counter("llc_misses"),
+		remoteInvalidations: s.Counter("remote_invalidations"),
+		remoteDowngrades:    s.Counter("remote_downgrades"),
+		backInvalidations:   s.Counter("back_invalidations"),
+		coherenceWritebacks: s.Counter("coherence_writebacks"),
+		l1DirtyEvictions:    s.Counter("l1_dirty_evictions"),
+		l2DirtyEvictions:    s.Counter("l2_dirty_evictions"),
+		llcDirtyEvictions:   s.Counter("llc_dirty_evictions"),
+	}
 }
 
 // New builds the hierarchy from the machine configuration.
 func New(cfg *sim.Config, dram *mem.DRAM, cb Callbacks) *Hierarchy {
 	h := &Hierarchy{
-		cfg:  cfg,
-		l1:   make([]*cache.Cache, cfg.Cores),
-		l2:   make([]*cache.Cache, cfg.VDs()),
-		llc:  make([]*cache.Cache, cfg.LLCSlices),
+		cfg: cfg,
+		l1:  cache.NewGroup("l1", cfg.Cores, cfg.L1Size, cfg.L1Ways, cfg.LineSize, 1),
+		l2:  cache.NewGroup("l2", cfg.VDs(), cfg.L2Size, cfg.L2Ways, cfg.LineSize, 1),
+		llc: cache.NewGroup("llc", cfg.LLCSlices, cfg.LLCSize/cfg.LLCSlices, cfg.LLCWays,
+			cfg.LineSize, cfg.LLCSlices),
 		dir:  cache.NewDirectory(),
 		dram: dram,
 		cb:   cb,
 		stat: stats.NewSet("coherence"),
 		bus:  cfg.Obs,
 	}
-	for i := range h.l1 {
-		h.l1[i] = cache.New(fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways, cfg.LineSize)
-	}
-	for i := range h.l2 {
-		h.l2[i] = cache.New(fmt.Sprintf("l2.%d", i), cfg.L2Size, cfg.L2Ways, cfg.LineSize)
-	}
-	sliceSize := cfg.LLCSize / cfg.LLCSlices
-	for i := range h.llc {
-		h.llc[i] = cache.NewStrided(fmt.Sprintf("llc.%d", i), sliceSize, cfg.LLCWays,
-			cfg.LineSize, cfg.LLCSlices)
-	}
+	h.ctr = newCounters(h.stat)
 	return h
 }
 
@@ -152,12 +173,12 @@ func (h *Hierarchy) Load(tid int, addr uint64) uint64 {
 	vd := h.cfg.VDOf(tid)
 	lat := h.cfg.L1Latency
 	if ln := h.l1[tid].Lookup(addr); ln != nil {
-		h.stat.Inc("l1_load_hits")
+		h.ctr.l1LoadHits.Inc()
 		return lat
 	}
 	lat += h.cfg.L2Latency
 	if ln := h.l2[vd].Lookup(addr); ln != nil {
-		h.stat.Inc("l2_load_hits")
+		h.ctr.l2LoadHits.Inc()
 		lat += h.response(vd, ln.OID)
 		// If a sibling L1 holds the line writable, downgrade it to Shared
 		// (its dirty data merges into the L2) so no two L1s are writable.
@@ -210,13 +231,13 @@ func (h *Hierarchy) Store(tid int, addr uint64) uint64 {
 	vd := h.cfg.VDOf(tid)
 	lat := h.cfg.L1Latency
 	if ln := h.l1[tid].Lookup(addr); ln != nil && ln.State.Writable() {
-		h.stat.Inc("l1_store_hits")
+		h.ctr.l1StoreHits.Inc()
 		lat += h.store(tid, vd, ln)
 		return lat
 	}
 	lat += h.cfg.L2Latency
 	if l2ln := h.l2[vd].Lookup(addr); l2ln != nil && l2ln.State.Writable() {
-		h.stat.Inc("l2_store_hits")
+		h.ctr.l2StoreHits.Inc()
 		// Invalidate sibling L1 copies within the VD, merging dirty data.
 		lo, hi := h.coresOf(vd)
 		for c := lo; c < hi; c++ {
@@ -289,12 +310,12 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 		if exclusive {
 			h.invalidateVD(e.Owner, addr, ReasonCoherence)
 			e.Owner = -1
-			h.stat.Inc("remote_invalidations")
+			h.ctr.remoteInvalidations.Inc()
 		} else {
 			h.downgradeVD(e.Owner, addr)
 			e.Sharers.Add(e.Owner)
 			e.Owner = -1
-			h.stat.Inc("remote_downgrades")
+			h.ctr.remoteDowngrades.Inc()
 		}
 	}
 	if exclusive && !e.Sharers.None() {
@@ -308,18 +329,18 @@ func (h *Hierarchy) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64,
 			lat += h.cfg.RemoteL2Lat
 			h.invalidateVD(other, addr, ReasonCoherence)
 			e.Sharers.Remove(other)
-			h.stat.Inc("remote_invalidations")
+			h.ctr.remoteInvalidations.Inc()
 		})
 	}
 
 	// Ensure LLC residency (inclusive LLC: every VD-cached line is here).
 	slice := h.sliceOf(addr)
 	if ln := slice.Lookup(addr); ln != nil {
-		h.stat.Inc("llc_hits")
+		h.ctr.llcHits.Inc()
 		rv = ln.OID
 		data = ln.Data
 	} else {
-		h.stat.Inc("llc_misses")
+		h.ctr.llcMisses.Inc()
 		lat += h.dram.Latency()
 		rv = h.dram.OID(addr)
 		data = h.dram.Data(addr)
@@ -367,13 +388,13 @@ func (h *Hierarchy) evictLLCVictim(victim cache.Line) (lat uint64) {
 				victim.OID = wb.OID
 				victim.Data = wb.Data
 			}
-			h.stat.Inc("back_invalidations")
+			h.ctr.backInvalidations.Inc()
 		})
 		h.dir.Delete(victim.Tag)
 	}
 	if victim.Dirty {
 		h.dram.WriteBack(victim.Tag, victim.OID, victim.Data)
-		h.stat.Inc("llc_dirty_evictions")
+		h.ctr.llcDirtyEvictions.Inc()
 		if h.cb.OnLLCWriteBack != nil {
 			lat += h.cb.OnLLCWriteBack(victim, ReasonCapacity)
 		}
@@ -408,7 +429,7 @@ func (h *Hierarchy) invalidateVD(vd int, addr uint64, reason Reason) {
 			h.cb.OnL2WriteBack(vd, wb, reason)
 		}
 		h.noteWriteBack(vd, wb, reason)
-		h.stat.Inc("coherence_writebacks")
+		h.ctr.coherenceWritebacks.Inc()
 	}
 }
 
@@ -457,7 +478,7 @@ func (h *Hierarchy) downgradeVD(vd int, addr uint64) {
 			h.cb.OnL2WriteBack(vd, wb, ReasonCoherence)
 		}
 		h.noteWriteBack(vd, wb, ReasonCoherence)
-		h.stat.Inc("coherence_writebacks")
+		h.ctr.coherenceWritebacks.Inc()
 	}
 }
 
@@ -515,7 +536,7 @@ func (h *Hierarchy) evictL2Victim(vd int, victim cache.Line, reason Reason) (lat
 			lat += h.cb.OnL2WriteBack(vd, victim, reason)
 		}
 		h.noteWriteBack(vd, victim, reason)
-		h.stat.Inc("l2_dirty_evictions")
+		h.ctr.l2DirtyEvictions.Inc()
 	}
 	return lat
 }
@@ -535,7 +556,7 @@ func (h *Hierarchy) fillL1(tid int, addr uint64, state cache.State, oid, data ui
 			// L2 lost the line (shouldn't happen under inclusion); push to LLC.
 			h.mergeIntoLLC(victim)
 		}
-		h.stat.Inc("l1_dirty_evictions")
+		h.ctr.l1DirtyEvictions.Inc()
 	}
 	ln.State = state
 	ln.OID = oid

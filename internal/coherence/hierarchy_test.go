@@ -331,3 +331,26 @@ func TestReasonString(t *testing.T) {
 		t.Fatal("unknown reason")
 	}
 }
+
+// TestL1HitPathAllocatesNothing pins the per-access fast path: an L1 hit
+// increments its counter through a handle and allocates nothing.
+func TestL1HitPathAllocatesNothing(t *testing.T) {
+	h := newH(smallCfg(), Callbacks{})
+	h.Store(0, 0x40)
+	h.Load(1, 0x80)
+	if n := testing.AllocsPerRun(200, func() { h.Load(0, 0x40) }); n != 0 {
+		t.Fatalf("L1-hit Load allocates %.1f times", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { h.Store(0, 0x40) }); n != 0 {
+		t.Fatalf("L1-hit Store allocates %.1f times", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { h.Load(1, 0x80) }); n != 0 {
+		t.Fatalf("L1-hit Load of a clean line allocates %.1f times", n)
+	}
+	if got, want := h.Stats().Get("l1_load_hits"), int64(2*201); got != want {
+		t.Fatalf("l1_load_hits = %d, want %d", got, want)
+	}
+	if got := h.Stats().Get("l1_store_hits"); got != 201 {
+		t.Fatalf("l1_store_hits = %d, want 201", got)
+	}
+}

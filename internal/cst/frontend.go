@@ -111,21 +111,68 @@ type Frontend struct {
 	vdStall  uint64
 	storeOID uint64
 
-	evicts [numReasons]uint64
-	stat   *stats.Set
-	bus    *obs.Bus // nil when the run is unobserved
+	stat *stats.Set
+	ctr  counters
+	bus  *obs.Bus // nil when the run is unobserved
+}
+
+// evictKeys are the per-reason version-send counter keys.
+var evictKeys = func() (k [numReasons]string) {
+	for r := range k {
+		k[r] = "evict_" + Reason(r).String()
+	}
+	return k
+}()
+
+// counters holds the frontend's counter handles, so the per-access paths
+// increment them without hashing (or building) a key.
+type counters struct {
+	evict                                            [numReasons]*stats.Counter
+	l1LoadHits, l2LoadHits, l1StoreHits, l2StoreHits *stats.Counter
+	llcHits, llcMisses, llcDramWritebacks            *stats.Counter
+	remoteInvalidations, remoteDowngrades            *stats.Counter
+	c2cTransfers, l1DirtyEvictions, storeEvictions   *stats.Counter
+	epochAdvances, coherenceEpochAdvances, tagWalks  *stats.Counter
+	stallFromVersions, stallFromContext              *stats.Counter
+}
+
+func newCounters(s *stats.Set) counters {
+	c := counters{
+		l1LoadHits:             s.Counter("l1_load_hits"),
+		l2LoadHits:             s.Counter("l2_load_hits"),
+		l1StoreHits:            s.Counter("l1_store_hits"),
+		l2StoreHits:            s.Counter("l2_store_hits"),
+		llcHits:                s.Counter("llc_hits"),
+		llcMisses:              s.Counter("llc_misses"),
+		llcDramWritebacks:      s.Counter("llc_dram_writebacks"),
+		remoteInvalidations:    s.Counter("remote_invalidations"),
+		remoteDowngrades:       s.Counter("remote_downgrades"),
+		c2cTransfers:           s.Counter("c2c_transfers"),
+		l1DirtyEvictions:       s.Counter("l1_dirty_evictions"),
+		storeEvictions:         s.Counter("store_evictions"),
+		epochAdvances:          s.Counter("epoch_advances"),
+		coherenceEpochAdvances: s.Counter("coherence_epoch_advances"),
+		tagWalks:               s.Counter("tag_walks"),
+		stallFromVersions:      s.Counter("stall_from_versions"),
+		stallFromContext:       s.Counter("stall_from_context"),
+	}
+	for r, k := range evictKeys {
+		c.evict[r] = s.Counter(k)
+	}
+	return c
 }
 
 // New builds the frontend. The tag walker is enabled per cfg.TagWalker; the
 // wrap-around protocol per cfg.WrapEpochs.
 func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 	f := &Frontend{
-		cfg:         cfg,
-		backend:     backend,
-		dram:        dram,
-		l1:          make([]*cache.Cache, cfg.Cores),
-		l2:          make([]*cache.Cache, cfg.VDs()),
-		llc:         make([]*cache.Cache, cfg.LLCSlices),
+		cfg:     cfg,
+		backend: backend,
+		dram:    dram,
+		l1:      cache.NewGroup("l1", cfg.Cores, cfg.L1Size, cfg.L1Ways, cfg.LineSize, 1),
+		l2:      cache.NewGroup("l2", cfg.VDs(), cfg.L2Size, cfg.L2Ways, cfg.LineSize, 1),
+		llc: cache.NewGroup("llc", cfg.LLCSlices, cfg.LLCSize/cfg.LLCSlices, cfg.LLCWays,
+			cfg.LineSize, cfg.LLCSlices),
 		dir:         cache.NewDirectory(),
 		cur:         make([]uint64, cfg.VDs()),
 		storeCnt:    make([]int, cfg.VDs()),
@@ -137,17 +184,7 @@ func New(cfg *sim.Config, dram *mem.DRAM, backend Backend) *Frontend {
 		stat:        stats.NewSet("cst"),
 		bus:         cfg.Obs,
 	}
-	for i := range f.l1 {
-		f.l1[i] = cache.New(fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways, cfg.LineSize)
-	}
-	for i := range f.l2 {
-		f.l2[i] = cache.New(fmt.Sprintf("l2.%d", i), cfg.L2Size, cfg.L2Ways, cfg.LineSize)
-	}
-	sliceSize := cfg.LLCSize / cfg.LLCSlices
-	for i := range f.llc {
-		f.llc[i] = cache.NewStrided(fmt.Sprintf("llc.%d", i), sliceSize, cfg.LLCWays,
-			cfg.LineSize, cfg.LLCSlices)
-	}
+	f.ctr = newCounters(f.stat)
 	for vd := range f.cur {
 		f.cur[vd] = 1 // epoch 0 is reserved as "before all snapshots"
 	}
@@ -164,7 +201,7 @@ func (f *Frontend) CurEpoch(vd int) uint64 { return f.cur[vd] }
 func (f *Frontend) Stats() *stats.Set { return f.stat }
 
 // EvictReason returns how many versions were sent to the OMC for a reason.
-func (f *Frontend) EvictReason(r Reason) uint64 { return f.evicts[r] }
+func (f *Frontend) EvictReason(r Reason) uint64 { return uint64(f.ctr.evict[r].Value()) }
 
 // L1 exposes core tid's L1 (tests and the walker use it).
 func (f *Frontend) L1(tid int) *cache.Cache { return f.l1[tid] }
@@ -201,15 +238,14 @@ func (f *Frontend) sendVersion(ln cache.Line, reason Reason) {
 	if debugSendHook != nil {
 		debugSendHook(ln, reason)
 	}
-	f.evicts[reason]++
-	f.stat.Inc("evict_" + reason.String())
+	f.ctr.evict[reason].Inc()
 	f.bus.Emit(obs.KindVersionEvict, f.now+f.stall, -1, ln.OID, ln.Tag, uint64(reason), 0)
 	// Bursts (walks, drains) issue at f.now advanced by the stalls already
 	// incurred in this access, so a full NVM queue delays a burst linearly
 	// (a blocking bounded queue), not quadratically.
 	st := f.backend.ReceiveVersion(omc.Version{Addr: ln.Tag, Epoch: ln.OID, Data: ln.Data}, f.now+f.stall)
 	f.stall += st
-	f.stat.Add("stall_from_versions", int64(st))
+	f.ctr.stallFromVersions.Add(int64(st))
 }
 
 // Access performs one memory operation and returns its timing. data is the
@@ -313,12 +349,12 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 	vd := f.cfg.VDOf(tid)
 	lat := f.cfg.L1Latency
 	if ln := f.l1[tid].Lookup(addr); ln != nil {
-		f.stat.Inc("l1_load_hits")
+		f.ctr.l1LoadHits.Inc()
 		return lat
 	}
 	lat += f.cfg.L2Latency
 	if l2ln := f.l2[vd].Lookup(addr); l2ln != nil {
-		f.stat.Inc("l2_load_hits")
+		f.ctr.l2LoadHits.Inc()
 		// Sibling downgrade inside the VD; the sibling's dirty version flows
 		// through the L2 with the version check (it may displace an older
 		// dirty version to the OMC).
@@ -361,7 +397,7 @@ func (f *Frontend) load(tid int, addr uint64) uint64 {
 		if ln := f.sliceOf(addr).Peek(addr); ln != nil {
 			if ln.Dirty {
 				f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
-				f.stat.Inc("llc_dram_writebacks")
+				f.ctr.llcDramWritebacks.Inc()
 			}
 			f.sliceOf(addr).Invalidate(addr)
 		}
@@ -378,14 +414,14 @@ func (f *Frontend) store(tid int, addr uint64, data uint64) uint64 {
 	vd := f.cfg.VDOf(tid)
 	lat := f.cfg.L1Latency
 	if ln := f.l1[tid].Lookup(addr); ln != nil && ln.State.Writable() {
-		f.stat.Inc("l1_store_hits")
+		f.ctr.l1StoreHits.Inc()
 		f.performStore(tid, vd, ln, data)
 		f.bumpStore(vd)
 		return lat
 	}
 	lat += f.cfg.L2Latency
 	if l2ln := f.l2[vd].Lookup(addr); l2ln != nil && l2ln.State.Writable() {
-		f.stat.Inc("l2_store_hits")
+		f.ctr.l2StoreHits.Inc()
 		lo, hi := f.coresOf(vd)
 		for c := lo; c < hi; c++ {
 			if c == tid {
@@ -442,7 +478,7 @@ func (f *Frontend) performStore(tid, vd int, ln *cache.Line, data uint64) {
 		// Immutable dirty version from a previous epoch: store-eviction
 		// (paper Fig 4) pushes it to the L2 without invalidating the line,
 		// then the store proceeds in place.
-		f.stat.Inc("store_evictions")
+		f.ctr.storeEvictions.Inc()
 		f.putxToL2(vd, *ln, ReasonStoreEvict)
 	}
 	ln.OID = cur
@@ -474,7 +510,7 @@ func (f *Frontend) bumpStore(vd int) {
 // observing a response of a future epoch advances the local Lamport clock.
 func (f *Frontend) maybeAdvance(vd int, rv uint64) {
 	if rv > f.cur[vd] {
-		f.stat.Inc("coherence_epoch_advances")
+		f.ctr.coherenceEpochAdvances.Inc()
 		f.advanceTo(vd, rv, false)
 	}
 }
@@ -509,8 +545,8 @@ func (f *Frontend) advanceTo(vd int, newEpoch uint64, boundary bool) {
 	f.vdStall += f.cfg.EpochAdvanceCost
 	ctxStall := f.backend.DumpContext(vd, old, f.now+f.stall+f.vdStall)
 	f.vdStall += ctxStall
-	f.stat.Add("stall_from_context", int64(ctxStall))
-	f.stat.Inc("epoch_advances")
+	f.ctr.stallFromContext.Add(int64(ctxStall))
+	f.ctr.epochAdvances.Inc()
 	// The walker runs opportunistically whenever an epoch closes — both at
 	// store-count boundaries and on coherence-driven advances — so every VD
 	// keeps reporting min-ver and the recoverable epoch makes progress even
@@ -549,7 +585,7 @@ func (f *Frontend) tagWalk(vd int) {
 			}
 		}
 	})
-	f.stat.Inc("tag_walks")
+	f.ctr.tagWalks.Inc()
 	// Every dirty line older than cur was just cleaned: any prior dirty
 	// inflow has been walked out of the domain.
 	f.dirtyInflow[vd] = false
@@ -669,7 +705,7 @@ func (f *Frontend) insertLLC(wb cache.Line, dirty bool) {
 		// LLC victims refresh the DRAM working copy; the version itself was
 		// already persisted when it left its VD (§IV-A4).
 		f.dram.WriteBack(victim.Tag, victim.OID, victim.Data)
-		f.stat.Inc("llc_dram_writebacks")
+		f.ctr.llcDramWritebacks.Inc()
 	}
 	ln.State = cache.Shared
 	ln.OID = wb.OID
@@ -690,16 +726,16 @@ func (f *Frontend) fetch(vd int, addr uint64, exclusive bool) (rv, data uint64, 
 		e.Sharers.Add(e.Owner)
 		e.Owner = -1
 		e.Sharers.Add(vd)
-		f.stat.Inc("remote_downgrades")
+		f.ctr.remoteDowngrades.Inc()
 		return rv, data, lat
 	}
 	slice := f.sliceOf(addr)
 	if ln := slice.Lookup(addr); ln != nil {
-		f.stat.Inc("llc_hits")
+		f.ctr.llcHits.Inc()
 		e.Sharers.Add(vd)
 		return ln.OID, ln.Data, lat
 	}
-	f.stat.Inc("llc_misses")
+	f.ctr.llcMisses.Inc()
 	lat += f.dram.Latency()
 	e.Sharers.Add(vd)
 	return f.dram.OID(addr), f.dram.Data(addr), lat
@@ -718,11 +754,11 @@ func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, dirtyXf
 		e.Owner = -1
 		if wasDirty {
 			rv, data, dirtyXfer, haveData = newest.OID, newest.Data, true, true
-			f.stat.Inc("c2c_transfers")
+			f.ctr.c2cTransfers.Inc()
 		} else if newest.Valid {
 			rv, data, haveData = newest.OID, newest.Data, true
 		}
-		f.stat.Inc("remote_invalidations")
+		f.ctr.remoteInvalidations.Inc()
 	}
 	// Iterate a value copy: invalidateVD may touch the directory, and the
 	// O(set-bits) walk replaces the old O(VDs) bitmask scan (same ascending
@@ -735,24 +771,24 @@ func (f *Frontend) fetchExclusive(vd int, addr uint64) (rv, data uint64, dirtyXf
 		lat += f.cfg.RemoteL2Lat
 		f.invalidateVD(other, addr)
 		e.Sharers.Remove(other)
-		f.stat.Inc("remote_invalidations")
+		f.ctr.remoteInvalidations.Inc()
 	})
 	slice := f.sliceOf(addr)
 	if ln := slice.Peek(addr); ln != nil {
 		if !haveData {
 			rv, data, haveData = ln.OID, ln.Data, true
-			f.stat.Inc("llc_hits")
+			f.ctr.llcHits.Inc()
 		}
 		// The LLC copy becomes stale under the new owner; refresh DRAM if it
 		// carried the only working copy.
 		if ln.Dirty {
 			f.dram.WriteBack(ln.Tag, ln.OID, ln.Data)
-			f.stat.Inc("llc_dram_writebacks")
+			f.ctr.llcDramWritebacks.Inc()
 		}
 		slice.Invalidate(addr)
 	}
 	if !haveData {
-		f.stat.Inc("llc_misses")
+		f.ctr.llcMisses.Inc()
 		lat += f.dram.Latency()
 		rv, data = f.dram.OID(addr), f.dram.Data(addr)
 	}
@@ -880,7 +916,7 @@ func (f *Frontend) fillL1(tid int, addr uint64, state cache.State, oid, data uin
 	ln, victim, evicted := f.l1[tid].Insert(addr)
 	if evicted && victim.Dirty {
 		f.putxToL2(vd, victim, ReasonCapacity)
-		f.stat.Inc("l1_dirty_evictions")
+		f.ctr.l1DirtyEvictions.Inc()
 	}
 	ln.State = state
 	ln.OID = oid

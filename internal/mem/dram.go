@@ -21,17 +21,30 @@ type DRAM struct {
 	// systems get this ordering from coherence; the model enforces it here.
 	dataOID map[uint64]uint64
 	stat    *stats.Set
+	ctr     dramCounters
+}
+
+// dramCounters holds the device's counter handles.
+type dramCounters struct {
+	writebacks, staleWritebacksDropped, bytesWritten, oidLookups *stats.Counter
 }
 
 // NewDRAM constructs the device.
 func NewDRAM(cfg *sim.Config) *DRAM {
-	return &DRAM{
+	d := &DRAM{
 		cfg:     cfg,
 		oids:    make(map[uint64]uint64),
 		data:    make(map[uint64]uint64),
 		dataOID: make(map[uint64]uint64),
 		stat:    stats.NewSet("dram"),
 	}
+	d.ctr = dramCounters{
+		writebacks:             d.stat.Counter("writebacks"),
+		staleWritebacksDropped: d.stat.Counter("stale_writebacks_dropped"),
+		bytesWritten:           d.stat.Counter("bytes_written"),
+		oidLookups:             d.stat.Counter("oid_lookups"),
+	}
+	return d
 }
 
 // key maps a line address onto its OID tracking granule.
@@ -56,10 +69,10 @@ func (d *DRAM) WriteBack(addr uint64, oid uint64, data uint64) {
 		d.data[line] = data
 		d.dataOID[line] = oid
 	} else {
-		d.stat.Inc("stale_writebacks_dropped")
+		d.ctr.staleWritebacksDropped.Inc()
 	}
-	d.stat.Inc("writebacks")
-	d.stat.Add("bytes_written", int64(d.cfg.LineSize))
+	d.ctr.writebacks.Inc()
+	d.ctr.bytesWritten.Add(int64(d.cfg.LineSize))
 }
 
 // Data returns the payload token last written back to addr's line (zero for
@@ -70,7 +83,7 @@ func (d *DRAM) Data(addr uint64) uint64 { return d.data[d.cfg.LineAddr(addr)] }
 // version 0 predates all epochs, so fetching untouched memory never advances
 // anyone's epoch).
 func (d *DRAM) OID(addr uint64) uint64 {
-	d.stat.Inc("oid_lookups")
+	d.ctr.oidLookups.Inc()
 	return d.oids[d.key(addr)]
 }
 

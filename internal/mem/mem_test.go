@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,6 +31,33 @@ func TestNVMWriteAccounting(t *testing.T) {
 	}
 	if n.Writes(WData) != 1 {
 		t.Fatalf("data writes = %d", n.Writes(WData))
+	}
+}
+
+// TestNVMWriteAccountingKeys checks that the per-class counters appear in
+// the stat set exactly as they are touched, under their bytes_/writes_
+// names, and that accounting a write allocates nothing.
+func TestNVMWriteAccountingKeys(t *testing.T) {
+	n := NewNVM(testCfg())
+	if keys := n.Stats().Keys(); len(keys) != 0 {
+		t.Fatalf("fresh device reports keys %v", keys)
+	}
+	n.Write(WLog, 0x2000, 72, 0)
+	n.WriteSync(WMeta, 0x3000, 8, 0)
+	if got := strings.Join(n.Stats().Keys(), ","); got != "bytes_log,bytes_meta,writes_log,writes_meta" {
+		t.Fatalf("keys = %q", got)
+	}
+	if n.Stats().Get("bytes_log") != 72 || n.Stats().Get("writes_meta") != 1 {
+		t.Fatalf("counters: %s", n.Stats())
+	}
+	var now uint64
+	allocs := testing.AllocsPerRun(200, func() {
+		n.Write(WData, 0x1000, 64, now)
+		n.WriteSync(WMeta, 0x3000, 8, now)
+		now += 1000
+	})
+	if allocs != 0 {
+		t.Fatalf("NVM write accounting allocates %.1f times per write pair", allocs)
 	}
 }
 

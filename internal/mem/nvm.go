@@ -58,13 +58,12 @@ type NVM struct {
 
 	bankBusy []uint64 // cumulative booked work per bank (cycles)
 	lastLine []uint64 // last line buffered per bank (write combining)
-	bytes    [numWriteClasses]int64
-	writes   [numWriteClasses]int64
 
 	wear     map[uint64]int64 // per-page write counts (line writes land here)
 	series   *stats.TimeSeries
 	progress func() float64 // supplied by the driver; nil means no series
 	stat     *stats.Set
+	ctr      nvmCounters
 
 	// Content plane (durability model). The timing model above books bank
 	// occupancy; the content plane additionally tracks what the array
@@ -83,6 +82,34 @@ type NVM struct {
 	bus      *obs.Bus // nil when the run is unobserved
 }
 
+// classKeys are the per-class byte and write counter keys.
+var classKeys = func() (k [numWriteClasses]struct{ bytes, writes string }) {
+	for c := range k {
+		k[c].bytes = "bytes_" + WriteClass(c).String()
+		k[c].writes = "writes_" + WriteClass(c).String()
+	}
+	return k
+}()
+
+// nvmCounters holds the device's counter handles; the per-class pairs are
+// also the source of Bytes and Writes.
+type nvmCounters struct {
+	bytes, writes              [numWriteClasses]*stats.Counter
+	stallCycles, stalledWrites *stats.Counter
+}
+
+func newNVMCounters(s *stats.Set) nvmCounters {
+	c := nvmCounters{
+		stallCycles:   s.Counter("stall_cycles"),
+		stalledWrites: s.Counter("stalled_writes"),
+	}
+	for class, k := range classKeys {
+		c.bytes[class] = s.Counter(k.bytes)
+		c.writes[class] = s.Counter(k.writes)
+	}
+	return c
+}
+
 // pendingWrite is one word burst sitting in a bank's volatile queue.
 type pendingWrite struct {
 	addr  uint64   // first word address (8-byte aligned)
@@ -92,7 +119,7 @@ type pendingWrite struct {
 
 // NewNVM constructs the device from the machine config.
 func NewNVM(cfg *sim.Config) *NVM {
-	return &NVM{
+	n := &NVM{
 		cfg:      cfg,
 		bankBusy: make([]uint64, cfg.NVMBanks),
 		lastLine: make([]uint64, cfg.NVMBanks),
@@ -104,6 +131,8 @@ func NewNVM(cfg *sim.Config) *NVM {
 		bankDone: make([]uint64, cfg.NVMBanks),
 		bus:      cfg.Obs,
 	}
+	n.ctr = newNVMCounters(n.stat)
+	return n
 }
 
 // SetProgress installs the driver's progress callback (fraction of the trace
@@ -143,8 +172,8 @@ func (n *NVM) bookLine(addr uint64, size int, now uint64) (stall uint64) {
 	}
 	if n.bankBusy[b] > now+n.cfg.NVMMaxBacklog {
 		stall = n.bankBusy[b] - now - n.cfg.NVMMaxBacklog
-		n.stat.Add("stall_cycles", int64(stall))
-		n.stat.Inc("stalled_writes")
+		n.ctr.stallCycles.Add(int64(stall))
+		n.ctr.stalledWrites.Inc()
 	}
 	return stall
 }
@@ -207,11 +236,9 @@ func (n *NVM) syncLine(addr uint64, size int, now uint64) uint64 {
 }
 
 func (n *NVM) account(class WriteClass, addr uint64, size int) {
-	n.bytes[class] += int64(size)
-	n.writes[class]++
+	n.ctr.bytes[class].Add(int64(size))
+	n.ctr.writes[class].Inc()
 	n.wear[n.cfg.PageAddr(addr)]++
-	n.stat.Add("bytes_"+class.String(), int64(size))
-	n.stat.Inc("writes_" + class.String())
 	if n.progress != nil {
 		n.series.Record(n.progress(), int64(size))
 	}
@@ -230,25 +257,25 @@ func (n *NVM) Tick(now uint64) {
 }
 
 // Bytes returns bytes written for a class.
-func (n *NVM) Bytes(class WriteClass) int64 { return n.bytes[class] }
+func (n *NVM) Bytes(class WriteClass) int64 { return n.ctr.bytes[class].Value() }
 
 // TotalBytes returns all bytes written across classes.
 func (n *NVM) TotalBytes() int64 {
 	var sum int64
-	for _, b := range n.bytes {
-		sum += b
+	for _, b := range n.ctr.bytes {
+		sum += b.Value()
 	}
 	return sum
 }
 
 // Writes returns the number of write operations for a class.
-func (n *NVM) Writes(class WriteClass) int64 { return n.writes[class] }
+func (n *NVM) Writes(class WriteClass) int64 { return n.ctr.writes[class].Value() }
 
 // TotalWrites returns write operations across all classes.
 func (n *NVM) TotalWrites() int64 {
 	var sum int64
-	for _, w := range n.writes {
-		sum += w
+	for _, w := range n.ctr.writes {
+		sum += w.Value()
 	}
 	return sum
 }

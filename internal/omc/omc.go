@@ -48,7 +48,36 @@ type OMC struct {
 	now uint64
 
 	stat *stats.Set
+	ctr  counters
 	bus  *obs.Bus // nil when the run is unobserved
+}
+
+// counters holds the controller's counter handles, so version intake and
+// merges increment them without hashing a key.
+type counters struct {
+	versionsReceived, sameEpochReplacements, pagesAllocated *stats.Counter
+	metaWrites, contextDumps                                *stats.Counter
+	minverReports, minverLowered, recepochAdvances          *stats.Counter
+	epochsMerged, entriesMerged, versionsUnmapped           *stats.Counter
+	compactions, versionsCompacted                          *stats.Counter
+}
+
+func newCounters(s *stats.Set) counters {
+	return counters{
+		versionsReceived:      s.Counter("versions_received"),
+		sameEpochReplacements: s.Counter("same_epoch_replacements"),
+		pagesAllocated:        s.Counter("pages_allocated"),
+		metaWrites:            s.Counter("meta_writes"),
+		contextDumps:          s.Counter("context_dumps"),
+		minverReports:         s.Counter("minver_reports"),
+		minverLowered:         s.Counter("minver_lowered"),
+		recepochAdvances:      s.Counter("recepoch_advances"),
+		epochsMerged:          s.Counter("epochs_merged"),
+		entriesMerged:         s.Counter("entries_merged"),
+		versionsUnmapped:      s.Counter("versions_unmapped"),
+		compactions:           s.Counter("compactions"),
+		versionsCompacted:     s.Counter("versions_compacted"),
+	}
 }
 
 // Option configures an OMC.
@@ -82,6 +111,7 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
 		stat:        stats.NewSet("omc"),
 		bus:         cfg.Obs,
 	}
+	o.ctr = newCounters(o.stat)
 	o.metaNext = MetaBase + uint64(id)*omcRegion
 	o.commitSeq = 1 // slot 0 is the genesis record
 	o.master = NewMasterTable(
@@ -91,7 +121,7 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
 			// bursts advance the controller's local time so a full queue
 			// delays the merge rather than compounding stalls.
 			o.now += o.nvm.Persist(mem.WMeta, nvmAddr, size, []uint64{word}, o.now)
-			o.stat.Inc("meta_writes")
+			o.ctr.metaWrites.Inc()
 		},
 	)
 	for _, opt := range opts {
@@ -127,7 +157,7 @@ func (o *OMC) newEpochTable() *Table {
 // returns the backpressure stall to charge the evicting access.
 func (o *OMC) ReceiveVersion(v Version, now uint64) (stall uint64) {
 	o.now = now
-	o.stat.Inc("versions_received")
+	o.ctr.versionsReceived.Inc()
 	if v.Epoch > o.maxEpoch {
 		o.maxEpoch = v.Epoch
 	}
@@ -155,7 +185,7 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	}
 	nvmAddr, newPage := o.pool.Alloc(v.Epoch)
 	if newPage {
-		o.stat.Inc("pages_allocated")
+		o.ctr.pagesAllocated.Inc()
 	}
 	// The persisted line carries [data, epoch, checksum]: binding address
 	// and epoch into the checksum lets recovery reject stale records at
@@ -172,7 +202,7 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 		// The epoch's snapshot keeps only its newest version of an address.
 		delete(o.payload, old)
 		o.pool.Release(old)
-		o.stat.Inc("same_epoch_replacements")
+		o.ctr.sameEpochReplacements.Inc()
 	} else {
 		vp := o.vpageCounts[v.Epoch]
 		if vp == nil {
@@ -191,7 +221,7 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 // §V-B) and merges any epochs that became recoverable.
 func (o *OMC) ReportMinVer(vd int, ver uint64, now uint64) {
 	o.now = now
-	o.stat.Inc("minver_reports")
+	o.ctr.minverReports.Inc()
 	if ver < o.minVer[vd] {
 		// A VD's view may regress transiently if an older version surfaced;
 		// take the conservative minimum.
@@ -212,7 +242,7 @@ func (o *OMC) LowerMinVer(vd int, ver uint64, now uint64) {
 	o.now = now
 	if ver < o.minVer[vd] {
 		o.minVer[vd] = ver
-		o.stat.Inc("minver_lowered")
+		o.ctr.minverLowered.Inc()
 	}
 }
 
@@ -265,7 +295,7 @@ func (o *OMC) advanceRecEpochTo(er, now uint64) {
 	// On a durable (file) plane the advance is also the epoch-seal
 	// persistence barrier: drain bank queues and publish the manifest.
 	o.nvm.SealDurable(o.recEpoch, o.now)
-	o.stat.Inc("recepoch_advances")
+	o.ctr.recepochAdvances.Inc()
 }
 
 // mergeEpoch folds M_e into the Master Table: table entries are copied, no
@@ -284,15 +314,15 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 				delete(o.payload, old)
 				o.pool.Release(old)
 			}
-			o.stat.Inc("versions_unmapped")
+			o.ctr.versionsUnmapped.Inc()
 		}
 	})
 	// Seal the merged table: its record is what lets recovery walk back
 	// to this epoch when newer state turns out torn.
 	o.writeSealRecord(e, t, now)
 	o.pool.CloseEpoch(e)
-	o.stat.Inc("epochs_merged")
-	o.stat.Add("entries_merged", int64(t.Entries()))
+	o.ctr.epochsMerged.Inc()
+	o.ctr.entriesMerged.Add(int64(t.Entries()))
 	delete(o.epochs, e)
 	delete(o.vpageCounts, e)
 	if o.retain {
@@ -337,7 +367,7 @@ func (o *OMC) Compact(now uint64) (stall uint64) {
 		o.master.Insert(m.lineAddr, newAddr)
 		delete(o.payload, m.nvmAddr)
 		o.pool.Release(m.nvmAddr)
-		o.stat.Inc("versions_compacted")
+		o.ctr.versionsCompacted.Inc()
 	}
 	// Pages of the victim epoch holding no live data are reclaimed even if
 	// the epoch's cursor was still open.
@@ -347,7 +377,7 @@ func (o *OMC) Compact(now uint64) (stall uint64) {
 		// digest no longer matches, so append a fresh one.
 		o.writeCommitRecord(now)
 	}
-	o.stat.Inc("compactions")
+	o.ctr.compactions.Inc()
 	return stall
 }
 
@@ -355,7 +385,7 @@ func (o *OMC) Compact(now uint64) (stall uint64) {
 func (o *OMC) DumpContext(vd int, epoch, now uint64) (stall uint64) {
 	addr := ContextBase + uint64(o.id)*omcRegion + uint64(vd)*uint64(o.cfg.ContextDumpBytes)
 	stall = o.nvm.Write(mem.WContext, addr, int(o.cfg.ContextDumpBytes), now)
-	o.stat.Inc("context_dumps")
+	o.ctr.contextDumps.Inc()
 	_ = epoch
 	return stall
 }

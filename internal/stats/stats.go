@@ -10,38 +10,88 @@ import (
 	"strings"
 )
 
-// Set is a named collection of integer counters. Counters are created lazily
-// on first Add/Inc. Iteration order is stable (sorted by name) so dumps are
-// deterministic.
+// Set is a named collection of integer counters. Iteration order is stable
+// (sorted by name) so dumps are deterministic. A counter joins the set's
+// keys the first time it is touched (any Add, even of zero, or Inc), so a
+// set that registers handles up front reports exactly the keys a lazily
+// created one would.
+//
+// Hot paths hold *Counter handles (see Counter) and never hash a string per
+// event; the string-keyed Add/Inc remain for cold paths and tests.
 type Set struct {
-	name     string
-	counters map[string]int64
+	name  string
+	index map[string]*Counter
+	free  []Counter // unassigned tail of the current counter block
+	first [counterBlock]Counter
 }
+
+// Counter is a handle on one counter of a Set. It stays valid for the
+// set's lifetime, across Reset.
+type Counter struct {
+	v       int64
+	touched bool
+}
+
+// Inc increments the counter by one.
+func (c *Counter) Inc() { c.v++; c.touched = true }
+
+// Add increments the counter by delta.
+func (c *Counter) Add(delta int64) { c.v += delta; c.touched = true }
+
+// Value returns the counter's current value.
+func (c *Counter) Value() int64 { return c.v }
+
+// counterBlock is how many counters a set carves from one allocation. The
+// first block is part of the Set itself and covers every component's
+// registered handles, so handles cost no allocation of their own.
+const counterBlock = 32
 
 // NewSet returns an empty counter set with the given name.
 func NewSet(name string) *Set {
-	return &Set{name: name, counters: make(map[string]int64)}
+	s := &Set{name: name, index: make(map[string]*Counter)}
+	s.free = s.first[:]
+	return s
 }
 
 // Name returns the name the set was created with.
 func (s *Set) Name() string { return s.name }
 
-// Add increments counter key by delta, creating it if absent.
-func (s *Set) Add(key string, delta int64) {
-	s.counters[key] += delta
+// Counter returns the handle for key, creating it untouched if absent: it
+// does not appear in Keys until it is first incremented.
+func (s *Set) Counter(key string) *Counter {
+	if c, ok := s.index[key]; ok {
+		return c
+	}
+	if len(s.free) == 0 {
+		s.free = make([]Counter, counterBlock)
+	}
+	c := &s.free[0]
+	s.free = s.free[1:]
+	s.index[key] = c
+	return c
 }
+
+// Add increments counter key by delta, creating it if absent.
+func (s *Set) Add(key string, delta int64) { s.Counter(key).Add(delta) }
 
 // Inc increments counter key by one.
 func (s *Set) Inc(key string) { s.Add(key, 1) }
 
 // Get returns the current value of counter key (zero if absent).
-func (s *Set) Get(key string) int64 { return s.counters[key] }
+func (s *Set) Get(key string) int64 {
+	if c, ok := s.index[key]; ok {
+		return c.v
+	}
+	return 0
+}
 
-// Keys returns all counter names in sorted order.
+// Keys returns the names of all touched counters in sorted order.
 func (s *Set) Keys() []string {
-	keys := make([]string, 0, len(s.counters))
-	for k := range s.counters {
-		keys = append(keys, k)
+	keys := make([]string, 0, len(s.index))
+	for k, c := range s.index {
+		if c.touched {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	return keys
@@ -54,13 +104,17 @@ func (s *Set) Keys() []string {
 // runs that produced it.
 func (s *Set) Merge(other *Set) {
 	for _, k := range other.Keys() {
-		s.counters[k] += other.counters[k]
+		s.Add(k, other.index[k].v)
 	}
 }
 
-// Reset zeroes all counters but keeps the set's identity.
+// Reset zeroes all counters and removes them from Keys until they are
+// touched again. Handles stay valid. Only touched counters can be nonzero,
+// so walking Keys covers every counter that needs clearing.
 func (s *Set) Reset() {
-	s.counters = make(map[string]int64)
+	for _, k := range s.Keys() {
+		*s.index[k] = Counter{}
+	}
 }
 
 // String renders the set as "name{k1=v1 k2=v2 ...}" with sorted keys.
@@ -72,7 +126,7 @@ func (s *Set) String() string {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%d", k, s.counters[k])
+		fmt.Fprintf(&b, "%s=%d", k, s.index[k].v)
 	}
 	b.WriteByte('}')
 	return b.String()
@@ -82,7 +136,7 @@ func (s *Set) String() string {
 func (s *Set) Dump(indent string) string {
 	var b strings.Builder
 	for _, k := range s.Keys() {
-		fmt.Fprintf(&b, "%s%-40s %d\n", indent, k, s.counters[k])
+		fmt.Fprintf(&b, "%s%-40s %d\n", indent, k, s.index[k].v)
 	}
 	return b.String()
 }

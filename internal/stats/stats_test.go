@@ -242,3 +242,79 @@ func TestDistributionStringEmpty(t *testing.T) {
 		t.Fatalf("zero-sample String() = %q", got)
 	}
 }
+
+func TestCounterHandleTouchSemantics(t *testing.T) {
+	s := NewSet("t")
+	c := s.Counter("k")
+	if len(s.Keys()) != 0 || s.String() != "t{}" {
+		t.Fatalf("an untouched handle must not appear: keys=%v", s.Keys())
+	}
+	if s.Counter("k") != c {
+		t.Fatal("Counter must return the same handle for a key")
+	}
+	c.Add(0)
+	s.Add("j", 0)
+	if got := strings.Join(s.Keys(), ","); got != "j,k" {
+		t.Fatalf("Add of zero must touch: keys=%q", got)
+	}
+	c.Inc()
+	c.Add(4)
+	if s.Get("k") != 5 || c.Value() != 5 {
+		t.Fatalf("k = %d via Get, %d via handle", s.Get("k"), c.Value())
+	}
+	s.Reset()
+	if len(s.Keys()) != 0 || s.Get("k") != 0 || c.Value() != 0 {
+		t.Fatalf("Reset left keys=%v k=%d", s.Keys(), s.Get("k"))
+	}
+	c.Inc()
+	if got := strings.Join(s.Keys(), ","); got != "k" || s.Get("k") != 1 {
+		t.Fatalf("handle dead after Reset: keys=%q k=%d", got, s.Get("k"))
+	}
+}
+
+func TestCounterHandlesRenderLikeStringKeys(t *testing.T) {
+	byKey, byHandle := NewSet("s"), NewSet("s")
+	byKey.Add("zero", 0)
+	byKey.Add("b", 7)
+	byKey.Inc("a")
+	idle := byHandle.Counter("idle") // registered, never touched
+	byHandle.Counter("a").Inc()
+	byHandle.Counter("b").Add(7)
+	byHandle.Counter("zero").Add(0)
+	if byKey.String() != byHandle.String() || byKey.Dump("  ") != byHandle.Dump("  ") {
+		t.Fatalf("String/Dump differ:\n%s\n%s", byKey.Dump("  "), byHandle.Dump("  "))
+	}
+	if got := byHandle.String(); got != "s{a=1 b=7 zero=0}" {
+		t.Fatalf("String() = %q", got)
+	}
+	m := NewSet("m")
+	m.Merge(byHandle)
+	if m.Dump("") != byKey.Dump("") || m.Get("idle") != 0 || idle.Value() != 0 {
+		t.Fatalf("Merge result:\n%s", m.Dump(""))
+	}
+	for _, k := range m.Keys() {
+		if k == "idle" {
+			t.Fatal("Merge copied an untouched counter")
+		}
+	}
+}
+
+func TestCounterHandlesShareBlocks(t *testing.T) {
+	s := NewSet("t")
+	handles := make([]*Counter, 3*counterBlock)
+	for i := range handles {
+		handles[i] = s.Counter(string(rune('A' + i)))
+	}
+	for i, c := range handles {
+		c.Add(int64(i))
+	}
+	for i := range handles {
+		if got := s.Get(string(rune('A' + i))); got != int64(i) {
+			t.Fatalf("counter %d = %d: handles alias", i, got)
+		}
+	}
+	c := s.Counter("hot")
+	if n := testing.AllocsPerRun(100, func() { c.Inc(); c.Add(3) }); n != 0 {
+		t.Fatalf("handle increments allocate %.1f times", n)
+	}
+}
