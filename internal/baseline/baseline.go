@@ -55,6 +55,10 @@ type base struct {
 
 	// evict-reason accounting for Fig 15.
 	evCapacity, evCoherence, evWalk, evLog uint64
+
+	// cleanIdx is markClean's line address -> index table, reset (keeping
+	// its capacity) on every call.
+	cleanIdx mem.WordMap
 }
 
 func newBase(name string, cfg *sim.Config) *base {
@@ -182,13 +186,14 @@ func (b *base) flushDirtyAsync(maxOID uint64, region uint64, class mem.WriteClas
 // hierarchy and refreshes DRAM so silently dropped clean lines stay
 // coherent with the backing store.
 func (b *base) markClean(lines []cache.Line) {
-	addrs := make(map[uint64]cache.Line, len(lines))
-	for _, ln := range lines {
-		addrs[ln.Tag] = ln
+	b.cleanIdx.Reset()
+	for i, ln := range lines {
+		b.cleanIdx.Put(ln.Tag, uint64(i))
 	}
 	clean := func(c *cache.Cache) {
 		c.ForEach(func(ln *cache.Line) {
-			if newest, ok := addrs[ln.Tag]; ok {
+			if i, ok := b.cleanIdx.Get(ln.Tag); ok {
+				newest := &lines[i]
 				// The checkpoint persisted the newest copy; every cached
 				// copy — including stale clean ones in the inclusive LLC —
 				// is synchronised to it, so nothing stale can resurface

@@ -13,13 +13,13 @@ import (
 // raised, never lowered, exactly as the paper specifies.
 type DRAM struct {
 	cfg  *sim.Config
-	oids map[uint64]uint64 // line (or super-block) address -> version
-	data map[uint64]uint64 // line address -> payload token
+	oids WordMap // line (or super-block) address -> version
+	data WordMap // line address -> payload token
 	// dataOID orders write-backs per line: a stale dirty copy evicted from
 	// the LLC after a newer version already reached DRAM (e.g. via the tag
 	// walker's working-copy refresh) must not clobber the newer data. Real
 	// systems get this ordering from coherence; the model enforces it here.
-	dataOID map[uint64]uint64
+	dataOID WordMap
 	stat    *stats.Set
 	ctr     dramCounters
 }
@@ -32,11 +32,8 @@ type dramCounters struct {
 // NewDRAM constructs the device.
 func NewDRAM(cfg *sim.Config) *DRAM {
 	d := &DRAM{
-		cfg:     cfg,
-		oids:    make(map[uint64]uint64),
-		data:    make(map[uint64]uint64),
-		dataOID: make(map[uint64]uint64),
-		stat:    stats.NewSet("dram"),
+		cfg:  cfg,
+		stat: stats.NewSet("dram"),
 	}
 	d.ctr = dramCounters{
 		writebacks:             d.stat.Counter("writebacks"),
@@ -60,14 +57,13 @@ func (d *DRAM) Latency() uint64 { return d.cfg.DRAMLatency }
 // payload token. With super-block tracking the existing OID is only updated
 // if the incoming OID is larger; the payload is always the newest data.
 func (d *DRAM) WriteBack(addr uint64, oid uint64, data uint64) {
-	k := d.key(addr)
-	if cur, ok := d.oids[k]; !ok || oid > cur {
-		d.oids[k] = oid
+	if cur, ok := d.oids.Ref(d.key(addr)); !ok || oid > *cur {
+		*cur = oid
 	}
 	line := d.cfg.LineAddr(addr)
-	if cur, ok := d.dataOID[line]; !ok || oid >= cur {
-		d.data[line] = data
-		d.dataOID[line] = oid
+	if cur, ok := d.dataOID.Ref(line); !ok || oid >= *cur {
+		*cur = oid
+		d.data.Put(line, data)
 	} else {
 		d.ctr.staleWritebacksDropped.Inc()
 	}
@@ -77,24 +73,28 @@ func (d *DRAM) WriteBack(addr uint64, oid uint64, data uint64) {
 
 // Data returns the payload token last written back to addr's line (zero for
 // untouched memory).
-func (d *DRAM) Data(addr uint64) uint64 { return d.data[d.cfg.LineAddr(addr)] }
+func (d *DRAM) Data(addr uint64) uint64 {
+	v, _ := d.data.Get(d.cfg.LineAddr(addr))
+	return v
+}
 
 // OID returns the version tag stored for addr's granule (0 if never written:
 // version 0 predates all epochs, so fetching untouched memory never advances
 // anyone's epoch).
 func (d *DRAM) OID(addr uint64) uint64 {
 	d.ctr.oidLookups.Inc()
-	return d.oids[d.key(addr)]
+	v, _ := d.oids.Get(d.key(addr))
+	return v
 }
 
 // TaggedLines returns how many OID granules DRAM currently tracks; the
 // experiment harness uses it to report the side-band overhead trade-off of
 // super-block tracking.
-func (d *DRAM) TaggedLines() int { return len(d.oids) }
+func (d *DRAM) TaggedLines() int { return d.oids.Len() }
 
 // SideBandBytes returns the bytes of OID metadata implied by the current
 // tracked set (2 bytes per granule, mirroring the 16-bit tag).
-func (d *DRAM) SideBandBytes() int64 { return int64(len(d.oids)) * 2 }
+func (d *DRAM) SideBandBytes() int64 { return int64(d.oids.Len()) * 2 }
 
 // Stats exposes the device counter set.
 func (d *DRAM) Stats() *stats.Set { return d.stat }

@@ -1,29 +1,19 @@
 package mem
 
-import "sort"
-
 // Image is the durable NVM content after a power cut: a sparse 8-byte word
 // array. Recovery reads it through Word and must treat every absence as a
 // write that never reached the array. The fuzz harness mutates images
 // directly through Delete and FlipBit to model corruption beyond what the
 // injector draws.
 type Image struct {
-	words map[uint64]uint64
+	words *WordMap
 }
 
-func snapshotImage(store map[uint64]uint64) *Image {
-	words := make(map[uint64]uint64, len(store))
-	//nvlint:allow maprange copying into the Image snapshot map
-	for a, v := range store {
-		words[a] = v
-	}
-	return &Image{words: words}
-}
-
-// NewImage builds an image from an explicit word map (test helper).
-func NewImage(words map[uint64]uint64) *Image {
+// NewImage wraps a word table as an image; nil gives an empty image. The
+// image takes ownership of words.
+func NewImage(words *WordMap) *Image {
 	if words == nil {
-		words = make(map[uint64]uint64)
+		words = new(WordMap)
 	}
 	return &Image{words: words}
 }
@@ -33,8 +23,7 @@ func (im *Image) Word(addr uint64) (uint64, bool) {
 	if im == nil {
 		return 0, false
 	}
-	v, ok := im.words[wordAlign(addr)]
-	return v, ok
+	return im.words.Get(wordAlign(addr))
 }
 
 // Len returns how many persisted words the image holds.
@@ -42,7 +31,7 @@ func (im *Image) Len() int {
 	if im == nil {
 		return 0
 	}
-	return len(im.words)
+	return im.words.Len()
 }
 
 // SortedAddrs returns every persisted word address in ascending order.
@@ -50,28 +39,18 @@ func (im *Image) SortedAddrs() []uint64 {
 	if im == nil {
 		return nil
 	}
-	return sortedWordAddrs(im.words)
+	return im.words.SortedKeys()
 }
 
 // Delete removes a persisted word (corruption modelling: a write that was
 // thought durable but never reached the array).
-func (im *Image) Delete(addr uint64) { delete(im.words, wordAlign(addr)) }
+func (im *Image) Delete(addr uint64) { im.words.Delete(wordAlign(addr)) }
 
 // FlipBit flips one bit of a persisted word; it is a no-op when the word
 // does not exist.
 func (im *Image) FlipBit(addr uint64, bit uint) {
 	a := wordAlign(addr)
-	if v, ok := im.words[a]; ok {
-		im.words[a] = v ^ (1 << (bit & 63))
+	if v, ok := im.words.Get(a); ok {
+		im.words.Put(a, v^(1<<(bit&63)))
 	}
-}
-
-func sortedWordAddrs(m map[uint64]uint64) []uint64 {
-	addrs := make([]uint64, 0, len(m))
-	//nvlint:allow maprange collect-then-sort
-	for a := range m {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
 }

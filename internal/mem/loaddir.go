@@ -102,7 +102,7 @@ func LoadDirFS(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 	case errors.Is(err, iofs.ErrNotExist):
 		// A run killed before its first epoch seal legitimately leaves only
 		// its active segment, delta-000000.log.
-		return replayActive(fsys, dir, 0, make(map[uint64]uint64), rep)
+		return replayActive(fsys, dir, 0, new(WordMap), rep)
 	case err != nil:
 		rep.Fatal = "manifest-unreadable"
 		rep.addDamage("manifest-unreadable", manifestName, err.Error())
@@ -128,7 +128,7 @@ func LoadDirFS(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 	rep.SealedEpoch = m[2]
 	ckptSeq, segBase, segCount := int(m[3])-1, int(m[5]), int(m[6])
 
-	words := make(map[uint64]uint64)
+	words := new(WordMap)
 	if ckptSeq >= 0 {
 		name := CheckpointFileName(ckptSeq)
 		if err := replayCheckpoint(fsys, filepath.Join(dir, name), words); err != nil {
@@ -172,7 +172,7 @@ func LoadDirFS(fsys fault.FS, dir string) (*Image, *DirReport, error) {
 // died — on top of words. A torn tail here is the expected kill -9 shape;
 // the valid prefix still holds committed (but unsealed) writes that
 // image-level salvage may use.
-func replayActive(fsys fault.FS, dir string, seq int, words map[uint64]uint64, rep *DirReport) (*Image, *DirReport, error) {
+func replayActive(fsys fault.FS, dir string, seq int, words *WordMap, rep *DirReport) (*Image, *DirReport, error) {
 	n, _, err := replaySegment(fsys, filepath.Join(dir, DeltaFileName(seq)), words, false, rep)
 	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
 		return nil, rep, err
@@ -187,7 +187,7 @@ func replayActive(fsys fault.FS, dir string, seq int, words map[uint64]uint64, r
 // segment a torn tail is normal kill -9 evidence (active-torn) and the
 // valid prefix is kept. Returns the burst count and whether a seal frame
 // terminated the segment.
-func replaySegment(fsys fault.FS, path string, words map[uint64]uint64, sealed bool, rep *DirReport) (int, bool, error) {
+func replaySegment(fsys fault.FS, path string, words *WordMap, sealed bool, rep *DirReport) (int, bool, error) {
 	raw, err := fsys.ReadFile(path)
 	if err != nil {
 		return 0, false, err
@@ -207,7 +207,7 @@ func replaySegment(fsys fault.FS, path string, words map[uint64]uint64, sealed b
 // boundary, returning the bursts applied, whether the seal frame — last,
 // counting every burst before it — was seen, and any damage that stopped
 // replay early.
-func readSegment(r io.Reader, words map[uint64]uint64) (int, bool, error) {
+func readSegment(r io.Reader, words *WordMap) (int, bool, error) {
 	frames := NewFrameReader(r, FileDeltaMagic)
 	recs, sawSeal := 0, false
 	for {
@@ -233,14 +233,14 @@ func readSegment(r io.Reader, words map[uint64]uint64) (int, bool, error) {
 }
 
 // applyBursts applies a delta frame's n bursts [addr, count, words...].
-func applyBursts(p []byte, n uint64, words map[uint64]uint64) error {
+func applyBursts(p []byte, n uint64, words *WordMap) error {
 	for ; n > 0 && len(p) >= 16; n-- {
 		addr, cnt := binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])
 		if cnt == 0 || cnt > maxDeltaWords || addr&7 != 0 || uint64(len(p)-16) < 8*cnt {
 			return fmt.Errorf("%w: implausible burst (addr %#x, %d words)", ErrFormat, addr, cnt)
 		}
 		for p = p[16:]; cnt > 0; cnt, addr, p = cnt-1, addr+8, p[8:] {
-			words[addr] = binary.LittleEndian.Uint64(p)
+			words.Put(addr, binary.LittleEndian.Uint64(p))
 		}
 	}
 	if n != 0 || len(p) != 0 {
@@ -252,7 +252,7 @@ func applyBursts(p []byte, n uint64, words map[uint64]uint64) error {
 // replayCheckpoint loads a base image into words, verifying the header,
 // every frame, and the header's word count. Any mismatch is an error: a
 // checkpoint is all-or-nothing, there is no older state underneath it.
-func replayCheckpoint(fsys fault.FS, path string, words map[uint64]uint64) error {
+func replayCheckpoint(fsys fault.FS, path string, words *WordMap) error {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return err
@@ -265,7 +265,7 @@ func replayCheckpoint(fsys fault.FS, path string, words map[uint64]uint64) error
 }
 
 // readCheckpoint decodes one checkpoint stream into words.
-func readCheckpoint(r io.Reader, words map[uint64]uint64) error {
+func readCheckpoint(r io.Reader, words *WordMap) error {
 	h, err := ReadHeader(r, FileCkptMagic, FileFormatVersion, 4, 0, 0)
 	if err != nil {
 		return err
@@ -291,7 +291,7 @@ func readCheckpoint(r io.Reader, words map[uint64]uint64) error {
 			if a&7 != 0 {
 				return fmt.Errorf("%w: misaligned word address %#x", ErrFormat, a)
 			}
-			words[a] = binary.LittleEndian.Uint64(p[8:])
+			words.Put(a, binary.LittleEndian.Uint64(p[8:]))
 		}
 		got += n
 	}

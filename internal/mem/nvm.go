@@ -59,7 +59,7 @@ type NVM struct {
 	bankBusy []uint64 // cumulative booked work per bank (cycles)
 	lastLine []uint64 // last line buffered per bank (write combining)
 
-	wear     map[uint64]int64 // per-page write counts (line writes land here)
+	wear     WordMap // per-page write counts (line writes land here)
 	series   *stats.TimeSeries
 	progress func() float64 // supplied by the driver; nil means no series
 	stat     *stats.Set
@@ -76,7 +76,7 @@ type NVM struct {
 	// for the *stall* model), a write issued at cycle t can never be
 	// durable before t+latency.
 	plane    DurablePlane
-	pending  [][]pendingWrite
+	pending  []bankQueue
 	bankDone []uint64
 	inj      *fault.Injector
 	bus      *obs.Bus // nil when the run is unobserved
@@ -110,11 +110,59 @@ func newNVMCounters(s *stats.Set) nvmCounters {
 	return c
 }
 
-// pendingWrite is one word burst sitting in a bank's volatile queue.
+// pendingWrite is one word burst sitting in a bank's volatile queue, 64
+// bytes. The queue owns the payload: bursts of up to len(inline) words
+// (data lines, mapping-table slots) are stored inline, longer records
+// (commit, seal) take a heap copy.
 type pendingWrite struct {
-	addr  uint64   // first word address (8-byte aligned)
-	words []uint64 // payload, 8 bytes per element
-	done  uint64   // device completion cycle; durable once done <= now
+	addr   uint64 // first word address (8-byte aligned)
+	done   uint64 // device completion cycle; durable once done <= now
+	n      int    // payload length in 8-byte words
+	inline [4]uint64
+	long   *[]uint64 // payload when n > len(inline); nil once committed
+}
+
+// words returns the payload.
+func (w *pendingWrite) words() []uint64 {
+	if w.long != nil {
+		return (*w.long)[:w.n]
+	}
+	return w.inline[:w.n]
+}
+
+// bankQueue is one bank's FIFO of pending writes: buf[head:] are queued,
+// oldest first. Draining advances head; the backing array is reused, and
+// compacted in place only when it is full and at least half drained, so
+// each write is copied O(1) times on average however long the queue gets.
+type bankQueue struct {
+	buf  []pendingWrite
+	head int
+}
+
+// push appends a copy of the burst words at addr completing at done.
+func (q *bankQueue) push(addr uint64, words []uint64, done uint64) {
+	switch {
+	case q.head == len(q.buf):
+		q.buf, q.head = q.buf[:0], 0
+	case len(q.buf) == cap(q.buf) && 2*q.head >= len(q.buf):
+		live := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[live:])
+		q.buf, q.head = q.buf[:live], 0
+	}
+	q.buf = append(q.buf, pendingWrite{addr: addr, done: done, n: len(words)})
+	w := &q.buf[len(q.buf)-1]
+	if len(words) > len(w.inline) {
+		long := append([]uint64(nil), words...)
+		w.long = &long
+	} else {
+		copy(w.inline[:], words)
+	}
+}
+
+// empty drops every queued write, keeping the backing array.
+func (q *bankQueue) empty() {
+	clear(q.buf)
+	q.buf, q.head = q.buf[:0], 0
 }
 
 // NewNVM constructs the device from the machine config.
@@ -123,11 +171,10 @@ func NewNVM(cfg *sim.Config) *NVM {
 		cfg:      cfg,
 		bankBusy: make([]uint64, cfg.NVMBanks),
 		lastLine: make([]uint64, cfg.NVMBanks),
-		wear:     make(map[uint64]int64),
 		series:   stats.NewTimeSeries(cfg.TimeSeriesBuckets),
 		stat:     stats.NewSet("nvm"),
 		plane:    NewRAMPlane(),
-		pending:  make([][]pendingWrite, cfg.NVMBanks),
+		pending:  make([]bankQueue, cfg.NVMBanks),
 		bankDone: make([]uint64, cfg.NVMBanks),
 		bus:      cfg.Obs,
 	}
@@ -238,7 +285,8 @@ func (n *NVM) syncLine(addr uint64, size int, now uint64) uint64 {
 func (n *NVM) account(class WriteClass, addr uint64, size int) {
 	n.ctr.bytes[class].Add(int64(size))
 	n.ctr.writes[class].Inc()
-	n.wear[n.cfg.PageAddr(addr)]++
+	w, _ := n.wear.Ref(n.cfg.PageAddr(addr))
+	*w++
 	if n.progress != nil {
 		n.series.Record(n.progress(), int64(size))
 	}
@@ -282,18 +330,13 @@ func (n *NVM) TotalWrites() int64 {
 
 // MaxWear returns the highest per-page write count (endurance proxy).
 func (n *NVM) MaxWear() int64 {
-	var m int64
-	//nvlint:allow maprange commutative max over wear counters
-	for _, w := range n.wear {
-		if w > m {
-			m = w
-		}
-	}
-	return m
+	var m uint64
+	n.wear.ForEach(func(_, w uint64) { m = max(m, w) })
+	return int64(m)
 }
 
 // PagesTouched returns how many distinct NVM pages have been written.
-func (n *NVM) PagesTouched() int { return len(n.wear) }
+func (n *NVM) PagesTouched() int { return n.wear.Len() }
 
 // Series exposes the bandwidth time series (Fig 17).
 func (n *NVM) Series() *stats.TimeSeries { return n.series }

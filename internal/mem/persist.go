@@ -42,11 +42,11 @@ func (n *NVM) SealDurable(epoch, now uint64) {
 		return
 	}
 	for b := range n.pending {
-		q := n.pending[b]
-		n.pending[b] = nil
-		for _, w := range q {
-			n.commit(w, now)
+		q := &n.pending[b]
+		for i := q.head; i < len(q.buf); i++ {
+			n.commit(&q.buf[i], now)
 		}
+		q.empty()
 		if n.bankDone[b] < now {
 			n.bankDone[b] = now
 		}
@@ -100,9 +100,10 @@ func (n *NVM) PersistSilent(addr uint64, words []uint64, now uint64) {
 	n.enqueue(addr, words, now, false)
 }
 
-// enqueue places a word burst on addr's bank queue. Booked writes complete
-// a full device latency after max(bank completion clock, issue time);
-// silent writes piggyback at the watermark itself.
+// enqueue copies a word burst onto addr's bank queue, so callers may pass
+// short-lived (stack) slices. Booked writes complete a full device latency
+// after max(bank completion clock, issue time); silent writes piggyback at
+// the watermark itself.
 func (n *NVM) enqueue(addr uint64, words []uint64, now uint64, booked bool) {
 	if len(words) == 0 {
 		return
@@ -119,20 +120,20 @@ func (n *NVM) enqueue(addr uint64, words []uint64, now uint64, booked bool) {
 	}
 	// Drain the FIFO prefix that has already completed so queues stay
 	// short; order per bank (hence per word address) is preserved.
-	q := n.pending[b]
-	i := 0
-	for ; i < len(q) && q[i].done <= now; i++ {
-		n.commit(q[i], now)
+	q := &n.pending[b]
+	for ; q.head < len(q.buf) && q.buf[q.head].done <= now; q.head++ {
+		n.commit(&q.buf[q.head], now)
 	}
-	q = append(q[i:], pendingWrite{addr: addr, words: words, done: done})
-	n.pending[b] = q
+	q.push(addr, words, done)
 }
 
 // commit applies a completed write to the persisted word array. now is the
 // cycle the drain was observed at (the write's own completion may be older).
-func (n *NVM) commit(w pendingWrite, now uint64) {
-	n.bus.Emit(obs.KindNVMDrain, now, n.bankOf(w.addr), 0, w.addr, uint64(len(w.words)), 0)
-	n.plane.Apply(w.addr, w.words)
+// The write's heap copy, if any, is released: a committed slot is dead.
+func (n *NVM) commit(w *pendingWrite, now uint64) {
+	n.bus.Emit(obs.KindNVMDrain, now, n.bankOf(w.addr), 0, w.addr, uint64(w.n), 0)
+	n.plane.Apply(w.addr, w.words())
+	w.long = nil
 }
 
 // PowerCut simulates losing power at cycle now and returns the resulting
@@ -147,32 +148,9 @@ func (n *NVM) commit(w pendingWrite, now uint64) {
 // harness only reads the image), but content from before the cut is final.
 func (n *NVM) PowerCut(now uint64) *Image {
 	for b := range n.pending {
-		q := n.pending[b]
-		n.pending[b] = nil
-		// Durable prefix: completed before the cut.
-		i := 0
-		for ; i < len(q) && q[i].done <= now; i++ {
-			n.commit(q[i], now)
-		}
-		volatileQ := q[i:]
-		if len(volatileQ) == 0 {
-			continue
-		}
-		if n.inj.Enabled() && n.inj.BankLost(b, len(volatileQ)) {
-			n.stat.Add("cut_lost_writes", int64(len(volatileQ)))
-			continue
-		}
-		// ADR drains the volatile queue in order; the injector may tear
-		// the last write in flight.
-		for j, w := range volatileQ {
-			if j == len(volatileQ)-1 && n.inj.Enabled() {
-				if keep, torn := n.inj.Tear(b, w.addr, len(w.words)); torn {
-					n.stat.Inc("cut_torn_writes")
-					w.words = w.words[:keep]
-				}
-			}
-			n.commit(w, now)
-		}
+		q := &n.pending[b]
+		n.cutBank(b, q.buf[q.head:], now)
+		q.empty()
 	}
 	if n.inj.Enabled() {
 		for f := 0; f < n.inj.FlipCount() && n.plane.Words() > 0; f++ {
@@ -186,14 +164,45 @@ func (n *NVM) PowerCut(now uint64) *Image {
 	return n.plane.Snapshot()
 }
 
+// cutBank settles one bank's queued writes q at a power cut at cycle now.
+func (n *NVM) cutBank(b int, q []pendingWrite, now uint64) {
+	// Durable prefix: completed before the cut.
+	i := 0
+	for ; i < len(q) && q[i].done <= now; i++ {
+		n.commit(&q[i], now)
+	}
+	volatileQ := q[i:]
+	if len(volatileQ) == 0 {
+		return
+	}
+	if n.inj.Enabled() && n.inj.BankLost(b, len(volatileQ)) {
+		n.stat.Add("cut_lost_writes", int64(len(volatileQ)))
+		return
+	}
+	// ADR drains the volatile queue in order; the injector may tear the
+	// last write in flight.
+	for j := range volatileQ {
+		w := &volatileQ[j]
+		if j == len(volatileQ)-1 && n.inj.Enabled() {
+			if keep, torn := n.inj.Tear(b, w.addr, w.n); torn {
+				n.stat.Inc("cut_torn_writes")
+				w.n = keep
+			}
+		}
+		n.commit(w, now)
+	}
+}
+
 // Image returns the durable content as if every queued write completed
 // cleanly — the fault-free final image. It does not consume the queues.
 func (n *NVM) Image() *Image {
 	img := n.plane.Snapshot()
 	for b := range n.pending {
-		for _, w := range n.pending[b] {
-			for i, v := range w.words {
-				img.words[w.addr+uint64(i*8)] = v
+		q := &n.pending[b]
+		for i := q.head; i < len(q.buf); i++ {
+			w := &q.buf[i]
+			for j, v := range w.words() {
+				img.words.Put(w.addr+uint64(j*8), v)
 			}
 		}
 	}

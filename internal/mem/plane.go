@@ -21,7 +21,9 @@ package mem
 // SortedAddrs read it. SealEpoch is the epoch-seal persistence barrier:
 // RAMPlane ignores it, FilePlane flushes and publishes a new manifest.
 type DurablePlane interface {
-	// Apply records a committed word burst at addr (8-byte aligned).
+	// Apply records a committed word burst at addr (8-byte aligned). It
+	// must not retain words: the slice is bank-queue storage that the
+	// device reuses after the call.
 	Apply(addr uint64, words []uint64)
 	// SealEpoch marks epoch as sealed: everything applied so far must be
 	// durable before the seal is visible to a cold reopen.
@@ -50,19 +52,19 @@ type DurablePlane interface {
 }
 
 // RAMPlane is the in-memory durable plane: a sparse 8-byte word array.
+// Addresses are word-aligned on every entry point, as on Image.
 type RAMPlane struct {
-	words map[uint64]uint64
+	words WordMap
 }
 
 // NewRAMPlane returns an empty in-memory plane.
-func NewRAMPlane() *RAMPlane {
-	return &RAMPlane{words: make(map[uint64]uint64)}
-}
+func NewRAMPlane() *RAMPlane { return &RAMPlane{} }
 
 // Apply implements DurablePlane.
 func (p *RAMPlane) Apply(addr uint64, words []uint64) {
+	addr = wordAlign(addr)
 	for i, v := range words {
-		p.words[addr+uint64(i*8)] = v
+		p.words.Put(addr+uint64(i*8), v)
 	}
 }
 
@@ -73,26 +75,24 @@ func (p *RAMPlane) SealEpoch(epoch uint64) {}
 func (p *RAMPlane) Durable() bool { return false }
 
 // Word implements DurablePlane.
-func (p *RAMPlane) Word(addr uint64) (uint64, bool) {
-	v, ok := p.words[addr]
-	return v, ok
-}
+func (p *RAMPlane) Word(addr uint64) (uint64, bool) { return p.words.Get(wordAlign(addr)) }
 
 // Words implements DurablePlane.
-func (p *RAMPlane) Words() int { return len(p.words) }
+func (p *RAMPlane) Words() int { return p.words.Len() }
 
 // SortedAddrs implements DurablePlane.
-func (p *RAMPlane) SortedAddrs() []uint64 { return sortedWordAddrs(p.words) }
+func (p *RAMPlane) SortedAddrs() []uint64 { return p.words.SortedKeys() }
 
 // XorWord implements DurablePlane.
 func (p *RAMPlane) XorWord(addr, mask uint64) {
-	if v, ok := p.words[addr]; ok {
-		p.words[addr] = v ^ mask
+	a := wordAlign(addr)
+	if v, ok := p.words.Get(a); ok {
+		p.words.Put(a, v^mask)
 	}
 }
 
 // Snapshot implements DurablePlane.
-func (p *RAMPlane) Snapshot() *Image { return snapshotImage(p.words) }
+func (p *RAMPlane) Snapshot() *Image { return NewImage(p.words.Clone()) }
 
 // Err implements DurablePlane.
 func (p *RAMPlane) Err() error { return nil }

@@ -1,31 +1,20 @@
 package obs
 
-import "sync"
-
 // Bus collects events from one simulation run. It keeps the first `budget`
 // events in a bounded ring for post-hoc inspection (counting the rest as
 // dropped) and streams every event — including ones the ring drops — to the
 // attached sinks, so aggregations never truncate.
 //
-// A Bus is safe for concurrent use: every method takes the bus mutex, and
-// the mutable state is nvlint:guardedby-annotated so the lock discipline is
-// machine-checked. The sweep engine still gives every parallel cell its own
-// bus and merges the results in canonical cell order — the lock buys
-// correctness for concurrent emitters (the planned serving path), not
-// ordering. All methods are safe on a nil receiver and do nothing, which is
-// the zero-cost guard unobserved runs rely on.
+// A Bus is not safe for concurrent use: it belongs to one simulation run,
+// and the sweep engine gives every parallel cell its own bus and merges the
+// results in canonical cell order. All methods are safe on a nil receiver
+// and do nothing, which is the zero-cost guard unobserved runs rely on.
 type Bus struct {
-	budget int // immutable after NewBus
-
-	mu sync.Mutex
-	// nvlint:guardedby mu
-	ring []Event
-	// nvlint:guardedby mu
+	budget  int // immutable after NewBus
+	ring    []Event
 	dropped uint64
-	// nvlint:guardedby mu
-	seq uint64
-	// nvlint:guardedby mu
-	sinks []Sink
+	seq     uint64
+	sinks   []Sink
 }
 
 // DefaultBudget bounds the ring of a bus created by NewBus when the caller
@@ -47,8 +36,6 @@ func (b *Bus) Attach(s Sink) {
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.sinks = append(b.sinks, s)
 }
 
@@ -58,8 +45,6 @@ func (b *Bus) Emit(kind Kind, cycle uint64, actor int, epoch, addr, arg, aux uin
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.emit(Event{Cycle: cycle, Kind: kind, Actor: actor, Epoch: epoch,
 		Addr: addr, Arg: arg, Aux: aux})
 }
@@ -69,15 +54,11 @@ func (b *Bus) EmitNote(kind Kind, cycle uint64, actor int, epoch, addr, arg, aux
 	if b == nil {
 		return
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.emit(Event{Cycle: cycle, Kind: kind, Actor: actor, Epoch: epoch,
 		Addr: addr, Arg: arg, Aux: aux, Note: note})
 }
 
 // emit appends one event to the ring and fans it out to the sinks.
-//
-// nvlint:locked mu
 func (b *Bus) emit(e Event) {
 	e.Seq = b.seq
 	b.seq++
@@ -98,8 +79,6 @@ func (b *Bus) Events() []Event {
 	if b == nil {
 		return nil
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.ring
 }
 
@@ -108,8 +87,6 @@ func (b *Bus) Emitted() uint64 {
 	if b == nil {
 		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.seq
 }
 
@@ -119,7 +96,5 @@ func (b *Bus) Dropped() uint64 {
 	if b == nil {
 		return 0
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	return b.dropped
 }

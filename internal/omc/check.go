@@ -91,16 +91,16 @@ func LineCheck(lineAddr, epoch, data uint64) uint64 {
 // cannot distinguish "young run, nothing committed yet" from "commit log
 // destroyed", so NewGroup writes one per member before any traffic.
 func (o *OMC) writeGenesis(groupSize int) {
-	words := []uint64{GenesisMagic, uint64(groupSize)}
-	words = append(words, mem.RecordCheck(words))
-	o.now += o.nvm.Persist(mem.WMeta, GenesisAddr(o.id), len(words)*8, words, o.now)
+	words := [GenesisWords]uint64{GenesisMagic, uint64(groupSize)}
+	words[GenesisWords-1] = mem.RecordCheck(words[:GenesisWords-1])
+	o.now += o.nvm.Persist(mem.WMeta, GenesisAddr(o.id), len(words)*8, words[:], o.now)
 	o.stat.Inc("genesis_records")
 }
 
 // writeCommitRecord appends a commit record pinning the current rec-epoch
 // and the Master Table's expected shape.
 func (o *OMC) writeCommitRecord(now uint64) {
-	words := []uint64{
+	words := [CommitWords]uint64{
 		CommitMagic,
 		o.recEpoch,
 		uint64(o.master.Entries()),
@@ -108,8 +108,8 @@ func (o *OMC) writeCommitRecord(now uint64) {
 		o.master.RootAddr(),
 		o.master.Digest(),
 	}
-	words = append(words, mem.RecordCheck(words))
-	o.now += o.nvm.Persist(mem.WMeta, CommitRecAddr(o.id, o.commitSeq), len(words)*8, words, now)
+	words[CommitWords-1] = mem.RecordCheck(words[:CommitWords-1])
+	o.now += o.nvm.Persist(mem.WMeta, CommitRecAddr(o.id, o.commitSeq), len(words)*8, words[:], now)
 	o.bus.Emit(obs.KindOMCCommit, now, o.id, o.recEpoch, 0, uint64(o.master.Entries()), uint64(o.commitSeq))
 	o.commitSeq++
 	o.stat.Inc("commit_records")
@@ -117,15 +117,15 @@ func (o *OMC) writeCommitRecord(now uint64) {
 
 // writeSealRecord appends the sealed-epoch record for a merged table.
 func (o *OMC) writeSealRecord(e uint64, t *Table, now uint64) {
-	words := []uint64{
+	words := [SealWords]uint64{
 		SealMagic,
 		e,
 		t.RootAddr(),
 		uint64(t.Entries()),
 		t.Digest(),
 	}
-	words = append(words, mem.RecordCheck(words))
-	o.now += o.nvm.Persist(mem.WMeta, SealRecAddr(o.id, o.sealSeq), len(words)*8, words, now)
+	words[SealWords-1] = mem.RecordCheck(words[:SealWords-1])
+	o.now += o.nvm.Persist(mem.WMeta, SealRecAddr(o.id, o.sealSeq), len(words)*8, words[:], now)
 	o.bus.Emit(obs.KindOMCSeal, now, o.id, e, 0, uint64(t.Entries()), uint64(o.sealSeq))
 	o.sealSeq++
 	o.stat.Inc("seal_records")

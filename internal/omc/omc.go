@@ -27,7 +27,7 @@ type OMC struct {
 	pool     *Pool
 	buf      *Buffer
 
-	payload  map[uint64]uint64 // nvmAddr -> data token ("NVM contents")
+	payload  mem.WordMap // nvmAddr -> data token ("NVM contents")
 	metaNext uint64
 
 	minVer   []uint64 // per VD: smallest possibly-unpersisted version
@@ -105,7 +105,6 @@ func New(cfg *sim.Config, nvm *mem.NVM, id int, opts ...Option) *OMC {
 		epochs:      make(map[uint64]*Table),
 		retained:    make(map[uint64]*Table),
 		pool:        NewPool(PoolBase+uint64(id)*omcRegion, cfg.PageSize, cfg.LineSize, cfg.NVMPoolPages),
-		payload:     make(map[uint64]uint64),
 		minVer:      make([]uint64, cfg.VDs()),
 		vpageCounts: make(map[uint64]map[uint64]int),
 		stat:        stats.NewSet("omc"),
@@ -192,7 +191,7 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	// reused pool addresses instead of trusting them.
 	stall += o.nvm.Persist(mem.WData, nvmAddr, o.cfg.LineSize,
 		[]uint64{v.Data, v.Epoch, LineCheck(v.Addr, v.Epoch, v.Data)}, now)
-	o.payload[nvmAddr] = v.Data
+	o.payload.Put(nvmAddr, v.Data)
 	t := o.epochs[v.Epoch]
 	if t == nil {
 		t = o.newEpochTable()
@@ -200,7 +199,7 @@ func (o *OMC) writeVersion(v Version, now uint64) (stall uint64) {
 	}
 	if old, replaced := t.Insert(v.Addr, nvmAddr); replaced {
 		// The epoch's snapshot keeps only its newest version of an address.
-		delete(o.payload, old)
+		o.payload.Delete(old)
 		o.pool.Release(old)
 		o.ctr.sameEpochReplacements.Inc()
 	} else {
@@ -311,7 +310,7 @@ func (o *OMC) mergeEpoch(e uint64, now uint64) {
 			// The unmapped version becomes stale; release unless retained
 			// for time travel.
 			if !o.retain {
-				delete(o.payload, old)
+				o.payload.Delete(old)
 				o.pool.Release(old)
 			}
 			o.ctr.versionsUnmapped.Inc()
@@ -360,12 +359,12 @@ func (o *OMC) Compact(now uint64) (stall uint64) {
 	})
 	for _, m := range moves {
 		newAddr, _ := o.pool.Alloc(o.maxEpoch)
-		data := o.payload[m.nvmAddr]
+		data, _ := o.payload.Get(m.nvmAddr)
 		stall += o.nvm.Persist(mem.WData, newAddr, o.cfg.LineSize,
 			[]uint64{data, o.maxEpoch, LineCheck(m.lineAddr, o.maxEpoch, data)}, now+stall)
-		o.payload[newAddr] = data
+		o.payload.Put(newAddr, data)
 		o.master.Insert(m.lineAddr, newAddr)
-		delete(o.payload, m.nvmAddr)
+		o.payload.Delete(m.nvmAddr)
 		o.pool.Release(m.nvmAddr)
 		o.ctr.versionsCompacted.Inc()
 	}
@@ -446,7 +445,7 @@ func (o *OMC) MasterRead(addr uint64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	data, ok := o.payload[nvmAddr]
+	data, ok := o.payload.Get(nvmAddr)
 	return data, ok
 }
 
@@ -464,7 +463,7 @@ func (o *OMC) TimeTravelRead(addr uint64, epoch uint64) (data uint64, foundEpoch
 		if !hit {
 			return false
 		}
-		d, live := o.payload[nvmAddr]
+		d, live := o.payload.Get(nvmAddr)
 		if !live {
 			return false
 		}
@@ -489,7 +488,7 @@ func (o *OMC) RecoverImage() (map[uint64]uint64, uint64) {
 	img := make(map[uint64]uint64, o.master.Entries())
 	var lat uint64
 	o.master.ForEach(func(lineAddr, nvmAddr uint64) {
-		if data, ok := o.payload[nvmAddr]; ok {
+		if data, ok := o.payload.Get(nvmAddr); ok {
 			img[lineAddr] = data
 			lat += o.nvm.Read()
 		}
@@ -511,7 +510,7 @@ func (o *OMC) EpochDelta(e uint64) map[uint64]uint64 {
 	}
 	delta := make(map[uint64]uint64, t.Entries())
 	t.ForEach(func(lineAddr, nvmAddr uint64) {
-		if d, ok := o.payload[nvmAddr]; ok {
+		if d, ok := o.payload.Get(nvmAddr); ok {
 			delta[lineAddr] = d
 		}
 	})

@@ -182,8 +182,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("sim: OMCs must be non-negative, got %d", c.OMCs)
 	case c.LLCSlices <= 0:
 		return fmt.Errorf("sim: LLCSlices must be positive, got %d", c.LLCSlices)
-	case c.LineSize <= 0 || c.LineSize&(c.LineSize-1) != 0:
-		return fmt.Errorf("sim: LineSize must be a power of two, got %d", c.LineSize)
+	case c.LineSize < 8 || c.LineSize&(c.LineSize-1) != 0:
+		return fmt.Errorf("sim: LineSize must be a power of two of at least one 8-byte word, got %d", c.LineSize)
 	case c.L1Size%(c.LineSize*c.L1Ways) != 0:
 		return fmt.Errorf("sim: L1 geometry %d/%d-way not line-divisible", c.L1Size, c.L1Ways)
 	case c.L2Size%(c.LineSize*c.L2Ways) != 0:
@@ -193,8 +193,11 @@ func (c *Config) Validate() error {
 			c.LLCSize, c.LLCWays, c.LLCSlices)
 	case c.EpochSize <= 0:
 		return fmt.Errorf("sim: EpochSize must be positive, got %d", c.EpochSize)
-	case c.PageSize < c.LineSize || c.PageSize%c.LineSize != 0:
-		return fmt.Errorf("sim: PageSize %d must be a multiple of LineSize %d", c.PageSize, c.LineSize)
+	case c.PageSize < c.LineSize || c.PageSize&(c.PageSize-1) != 0:
+		// PageAddr and the OMC page pool mask with PageSize-1, so a
+		// multiple of LineSize that is not a power of two (192) would
+		// alias pages.
+		return fmt.Errorf("sim: PageSize must be a power of two and at least LineSize %d, got %d", c.LineSize, c.PageSize)
 	case c.SuperBlock != 1 && c.SuperBlock != 4:
 		return fmt.Errorf("sim: SuperBlock must be 1 or 4, got %d", c.SuperBlock)
 	case c.NVMBanks <= 0:

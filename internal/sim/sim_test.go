@@ -27,11 +27,13 @@ func TestConfigValidateRejects(t *testing.T) {
 		func(c *Config) { c.CoresPerVD = 3 }, // does not divide 16
 		func(c *Config) { c.LLCSlices = 0 },
 		func(c *Config) { c.LineSize = 48 },
+		func(c *Config) { c.LineSize = 4 }, // below one word
 		func(c *Config) { c.L1Size = 1000 },
 		func(c *Config) { c.L2Size = 1000 },
 		func(c *Config) { c.LLCSize = 12345 },
 		func(c *Config) { c.EpochSize = 0 },
 		func(c *Config) { c.PageSize = 32 },
+		func(c *Config) { c.PageSize = 192 }, // multiple of LineSize 64, not a power of two
 		func(c *Config) { c.SuperBlock = 3 },
 		func(c *Config) { c.NVMBanks = 0 },
 		func(c *Config) { c.WrapEpochs = true; c.WrapWidth = 2 },

@@ -210,7 +210,7 @@ type Driver struct {
 	heap    *Heap
 	clocks  *sim.Clocks
 	rngs    []*sim.RNG
-	final   map[uint64]uint64
+	final   mem.WordMap // golden image: last token per line address
 	issued  uint64
 	target  uint64
 	perOpNs uint64
@@ -233,7 +233,6 @@ func NewDriver(cfg *sim.Config, scheme Scheme, wl Workload, maxAccesses uint64) 
 		heap:   NewHeap(cfg),
 		clocks: sim.NewClocks(cfg.Cores),
 		rngs:   make([]*sim.RNG, cfg.Cores),
-		final:  make(map[uint64]uint64),
 		target: maxAccesses,
 	}
 	for i := range d.rngs {
@@ -284,7 +283,7 @@ func (d *Driver) issue(tid int, addr uint64, write bool, data uint64, stores *ui
 	d.issued++
 	if write {
 		*stores++
-		d.final[d.cfg.LineAddr(addr)] = data
+		d.final.Put(d.cfg.LineAddr(addr), data)
 	}
 	if d.sink != nil && d.sinkErr == nil {
 		if err := d.sink.Append(Access{Tid: tid, Addr: addr, Write: write, Data: data}); err != nil {
@@ -309,6 +308,8 @@ func (d *Driver) teardown() {
 // summary assembles the run report shared by Run and RunReplay.
 func (d *Driver) summary(workload string, ops, stores uint64) Summary {
 	nvm := d.scheme.NVM()
+	final := make(map[uint64]uint64, d.final.Len())
+	d.final.ForEach(func(line, data uint64) { final[line] = data })
 	return Summary{
 		Scheme:    d.scheme.Name(),
 		Workload:  workload,
@@ -322,7 +323,7 @@ func (d *Driver) summary(workload string, ops, stores uint64) Summary {
 		MetaBytes: nvm.Bytes(mem.WMeta),
 		CtxBytes:  nvm.Bytes(mem.WContext),
 		Footprint: d.heap.Footprint(),
-		Final:     d.final,
+		Final:     final,
 	}
 }
 
